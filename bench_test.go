@@ -67,7 +67,7 @@ func BenchmarkTable1(b *testing.B) {
 // cache-sweep noise, and interrupt noise.
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := core.Table2(benchScale)
+		rows, err := core.Table2(benchScale, "", "")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func BenchmarkTable2(b *testing.B) {
 // BenchmarkTable3 regenerates Table 3's isolation-mechanism ladder.
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := core.Table3(benchScale)
+		rows, err := core.Table3(benchScale, "", "")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func BenchmarkTable3(b *testing.B) {
 // BenchmarkTable4 regenerates Table 4's timer-defense comparison.
 func BenchmarkTable4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := core.Table4(benchScale)
+		rows, err := core.Table4(benchScale, "", "")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func BenchmarkTable4(b *testing.B) {
 // attack with Slack+Spotify running loses only a few points.
 func BenchmarkBackgroundNoise(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := core.BackgroundNoise(benchScale)
+		res, err := core.BackgroundNoise(benchScale, "", "")
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -6,7 +6,7 @@
 //
 //	experiments [-scale small|medium|full] [-only t1,t2,f3,...] [-out dir]
 //	            [-md report.md] [-seed N] [-clf centroid|knn|logreg|cnn]
-//	            [-trainbatch on|off]
+//	            [-infer compiled|int8|reference]
 //	            [-obs] [-progress 2s] [-manifest run.json] [-httpaddr :0]
 //	            [-outdir dir] [-cpuprofile f] [-memprofile f]
 //	            [-coordinator :port [-celldeadline 5m]]
@@ -25,7 +25,9 @@
 // -coordinator runs the same tables and figures but shards every
 // experiment cell over worker replicas (internal/dist) instead of running
 // them in-process; start replicas with -worker pointing at the
-// coordinator's address. The coordinator's manifest merges the workers'
+// coordinator's address. Every cell names its own classifier and
+// inference tier, so -clf and -infer belong on the coordinator and are a
+// usage error with -worker. The coordinator's manifest merges the workers'
 // per-cell rows and metrics, and EXPERIMENTS.md's "Distributed runs"
 // section walks through a multi-worker setup.
 package main
@@ -64,8 +66,6 @@ func run() int {
 	dsSpill := flag.String("dsspill", "", "directory for mmap-backed dataset shard spill files (enables the disk cache tier)")
 	clf := flag.String("clf", "", "classifier for all experiments: centroid (default), knn, logreg, cnn")
 	infer := flag.String("infer", "compiled", "inference engine for trained models: compiled (frozen f32 fast path), int8 (quantized tier, falls back to compiled per model), or reference (f64 training graph)")
-	inferPar := flag.Int("inferpar", 0, "intra-op workers for compiled inference GEMMs (0 = GOMAXPROCS); output is identical for every value")
-	trainBatch := flag.String("trainbatch", "on", "training engine for gradient-trained classifiers: on (batch-major fast path) or off (per-sample reference); trained weights are bit-identical either way")
 	obsOn := flag.Bool("obs", false, "enable the observability layer (metrics + span tracing)")
 	progress := flag.Duration("progress", 0, "live progress-line interval on stderr (implies -obs)")
 	manifestPath := flag.String("manifest", "", "write a run-manifest JSON to this file (implies -obs)")
@@ -87,16 +87,25 @@ func run() int {
 	core.SetDatasetCacheBudget(*dsBudget)
 	core.SetDatasetCacheSpillDir(*dsSpill)
 
-	if err := core.ConfigureClassifier(*clf); err != nil {
+	if *workerAddr != "" {
+		// A worker runs whatever each dispatched cell names; its own
+		// -clf/-infer would be silently ignored.
+		var model []string
+		flag.Visit(func(fl *flag.Flag) {
+			if fl.Name == "clf" || fl.Name == "infer" {
+				model = append(model, "-"+fl.Name)
+			}
+		})
+		if len(model) > 0 {
+			fmt.Fprintf(os.Stderr, "experiments: %s cannot be used with -worker: each cell names its own classifier and tier\n", strings.Join(model, " and "))
+			return 2
+		}
+	}
+	if _, err := core.ClassifierByName(*clf); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-
-	if err := core.ConfigureInference(*infer, *inferPar); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	if err := core.ConfigureTraining(*trainBatch); err != nil {
+	if _, err := core.ParseInferTier(*infer); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
@@ -142,9 +151,9 @@ func run() int {
 	}
 
 	// Worker replica mode: pull cells from a coordinator until told to
-	// drain. Everything configured above — classifier, inference tier,
-	// dataset cache, profiles, debug server — applies to the cells this
-	// replica runs; scale and step selection come from the coordinator.
+	// drain. Everything configured above — dataset cache, profiles, debug
+	// server — applies to the cells this replica runs; scale, step
+	// selection, classifier and inference tier come with each cell.
 	if *workerAddr != "" {
 		obs.Enable()
 		rep := obs.StartReporter(os.Stderr, *progress, core.ProgressLine)
@@ -230,8 +239,6 @@ func run() int {
 			m.Config["classifier"] = "centroid"
 		}
 		m.Config["infer"] = *infer
-		m.Config["inferpar"] = fmt.Sprint(*inferPar)
-		m.Config["trainbatch"] = *trainBatch
 		m.Config["cells"] = fmt.Sprint(*cells)
 		m.Config["dscache"] = fmt.Sprint(*dsCacheCap)
 		m.Config["dsbudget"] = fmt.Sprint(*dsBudget)
@@ -267,7 +274,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "obs: manifest written to %s\n", path)
 	}
 
-	r := runner{sc: sc, figRuns: figRuns, outDir: *outDir, seed: *seed, md: &strings.Builder{}}
+	r := runner{sc: sc, figRuns: figRuns, outDir: *outDir, seed: *seed, clf: *clf, infer: *infer, md: &strings.Builder{}}
 	fmt.Fprintf(r.md, "# Reproduction report (scale %s, seed %d)\n", *scale, *seed)
 	steps := []struct {
 		key string
@@ -314,11 +321,12 @@ func scaleFor(name string, seed uint64) (core.Scale, int, error) {
 }
 
 type runner struct {
-	sc      core.Scale
-	figRuns int
-	outDir  string
-	seed    uint64
-	md      *strings.Builder
+	sc         core.Scale
+	figRuns    int
+	outDir     string
+	seed       uint64
+	clf, infer string
+	md         *strings.Builder
 }
 
 func (r runner) csv(name string, header []string, rows [][]string) {
@@ -340,7 +348,7 @@ func f(v float64) string { return fmt.Sprintf("%.3f", v) }
 
 func (r runner) table1() error {
 	fmt.Println("== Table 1: loop-counting vs cache attack across browser × OS ==")
-	rows, err := core.Table1(r.sc)
+	rows, err := core.Table1(r.sc, r.clf, r.infer)
 	if err != nil {
 		return err
 	}
@@ -369,7 +377,7 @@ func (r runner) table1() error {
 
 func (r runner) table2() error {
 	fmt.Println("== Table 2: attacks under noise countermeasures ==")
-	rows, err := core.Table2(r.sc)
+	rows, err := core.Table2(r.sc, r.clf, r.infer)
 	if err != nil {
 		return err
 	}
@@ -392,7 +400,7 @@ func (r runner) table2() error {
 
 func (r runner) table3() error {
 	fmt.Println("== Table 3: isolation mechanisms (Python attacker) ==")
-	rows, err := core.Table3(r.sc)
+	rows, err := core.Table3(r.sc, r.clf, r.infer)
 	if err != nil {
 		return err
 	}
@@ -415,7 +423,7 @@ func (r runner) table3() error {
 
 func (r runner) table4() error {
 	fmt.Println("== Table 4: timer defenses (Python attacker) ==")
-	rows, err := core.Table4(r.sc)
+	rows, err := core.Table4(r.sc, r.clf, r.infer)
 	if err != nil {
 		return err
 	}
@@ -439,7 +447,7 @@ func (r runner) table4() error {
 
 func (r runner) backgroundNoise() error {
 	fmt.Println("== §4.2 robustness: background noise (Slack + Spotify) ==")
-	res, err := core.BackgroundNoise(r.sc)
+	res, err := core.BackgroundNoise(r.sc, r.clf, r.infer)
 	if err != nil {
 		return err
 	}

@@ -116,7 +116,7 @@ func BenchmarkTable1Small(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sc.Seed = uint64(7 + i) // defeat the dataset cache across iterations
-		if _, err := Table1(sc); err != nil {
+		if _, err := Table1(sc, "", ""); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -31,12 +31,11 @@ type CellSpec struct {
 	Scenario ScenarioSpec `json:"scenario"`
 	Scale    Scale        `json:"scale"`
 	// Classifier names the per-fold classifier (ClassifierByName
-	// vocabulary). Empty means the executing process's default, so
-	// dispatchers stamp the coordinator's choice in before shipping.
+	// vocabulary). Empty means nearest centroid, the same on every
+	// process that runs the cell.
 	Classifier string `json:"classifier,omitempty"`
-	// Infer selects the inference tier for gradient-trained classifiers:
-	// "" (leave the executing process's tier alone), compiled, int8, or
-	// reference.
+	// Infer selects the inference tier gradient-trained classifiers score
+	// through: compiled (also the meaning of ""), int8, or reference.
 	Infer string `json:"infer,omitempty"`
 	// Site and Runs configure "meantrace" cells: the profiled site and
 	// the number of visits averaged.
@@ -81,10 +80,7 @@ func (c CellSpec) Validate() error {
 	}
 	switch strings.ToLower(c.Kind) {
 	case "", "experiment":
-		if _, err := ClassifierByName(c.Classifier); err != nil {
-			return err
-		}
-		if _, err := inferTierByName(c.Infer); err != nil {
+		if _, err := c.classifier(); err != nil {
 			return err
 		}
 		return c.Scale.Validate()
@@ -101,13 +97,22 @@ func (c CellSpec) Validate() error {
 	}
 }
 
-// inferTierByName maps the spec/flag vocabulary to an inference tier. The
-// empty string means "leave the current tier alone" and resolves to it.
-func inferTierByName(mode string) (ml.InferTier, error) {
+// classifier resolves the spec's classifier and inference-tier names into
+// the maker every fold of the cell uses. A nil maker means the built-in
+// nearest-centroid default.
+func (c CellSpec) classifier() (ClassifierMaker, error) {
+	tier, err := ParseInferTier(c.Infer)
+	if err != nil {
+		return nil, err
+	}
+	return classifierFor(c.Classifier, tier)
+}
+
+// ParseInferTier maps the CellSpec.Infer and -infer flag vocabulary to an
+// inference tier; the empty string means compiled.
+func ParseInferTier(mode string) (ml.InferTier, error) {
 	switch mode {
-	case "":
-		return ml.ActiveInferTier(), nil
-	case "compiled":
+	case "", "compiled":
 		return ml.TierCompiled, nil
 	case "int8":
 		return ml.TierInt8, nil
@@ -169,21 +174,20 @@ var cellDispatcher CellDispatcher
 func SetCellDispatcher(d CellDispatcher) { cellDispatcher = d }
 
 // RunCellSpecs executes a batch of independent cells through the active
-// dispatcher (local pool by default), stamping the process's classifier
-// and inference-tier defaults into specs that don't pin their own so
-// remote workers reproduce this process's configuration. par bounds local
-// cell concurrency (<= 0 = all at once; compute stays slot-bounded);
-// distributed dispatchers derive concurrency from worker lanes instead.
+// dispatcher (local pool by default). Each spec names its own classifier
+// and inference tier, so where a cell runs never changes its result. par
+// bounds local cell concurrency (<= 0 = all at once; compute stays
+// slot-bounded); distributed dispatchers derive concurrency from worker
+// lanes instead.
 func RunCellSpecs(specs []CellSpec, par int) ([]CellResult, error) {
 	if len(specs) == 0 {
 		return nil, nil
 	}
-	stamped := stampCellDefaults(specs)
 	if d := cellDispatcher; d != nil {
-		cCellsPlanned.Add(int64(len(stamped)))
-		return d.RunCells(stamped, par)
+		cCellsPlanned.Add(int64(len(specs)))
+		return d.RunCells(specs, par)
 	}
-	return RunCellsInProcess(stamped, par)
+	return RunCellsInProcess(specs, par)
 }
 
 // RunCellsInProcess runs a batch through the local cell pool, ignoring any
@@ -210,29 +214,13 @@ func RunCellsInProcess(specs []CellSpec, par int) ([]CellResult, error) {
 	return out, nil
 }
 
-// stampCellDefaults copies the specs, filling empty classifier/tier fields
-// of experiment cells with the process-wide configuration (the -clf and
-// -infer flags) so dispatched cells carry it to workers explicitly.
-func stampCellDefaults(specs []CellSpec) []CellSpec {
-	out := append([]CellSpec(nil), specs...)
-	tier := ml.ActiveInferTier().String()
-	for i := range out {
-		if k := strings.ToLower(out[i].Kind); k != "" && k != "experiment" {
-			continue
-		}
-		if out[i].Classifier == "" {
-			out[i].Classifier = defaultClassifierName
-		}
-		if out[i].Infer == "" {
-			out[i].Infer = tier
-		}
+// scatterCells names the classifier and inference tier in every spec,
+// dispatches them, and writes each returned Result into its row
+// destination — the shared shape of every table builder.
+func scatterCells(specs []CellSpec, dsts []*Result, par int, clf, infer string) error {
+	for i := range specs {
+		specs[i].Classifier, specs[i].Infer = clf, infer
 	}
-	return out
-}
-
-// scatterCells dispatches the specs and writes each returned Result into
-// its row destination — the shared shape of every table builder.
-func scatterCells(specs []CellSpec, dsts []*Result, par int) error {
 	results, err := RunCellSpecs(specs, par)
 	if err != nil {
 		return err
@@ -247,7 +235,7 @@ func scatterCells(specs []CellSpec, dsts []*Result, par int) error {
 
 // RunCell executes one cell in this process — the worker side of the
 // distributed runner and the body of the local dispatcher. The spec must
-// be self-contained: RunCell applies its classifier and inference tier,
+// be self-contained: RunCell resolves its classifier and inference tier,
 // runs the cell, and returns the result plus its manifest row.
 func RunCell(spec CellSpec) (CellResult, error) {
 	switch strings.ToLower(spec.Kind) {
@@ -269,16 +257,9 @@ func runExperimentCell(spec CellSpec) (CellResult, error) {
 	if err != nil {
 		return CellResult{}, err
 	}
-	mk, err := ClassifierByName(spec.Classifier)
+	mk, err := spec.classifier()
 	if err != nil {
 		return CellResult{}, err
-	}
-	if spec.Infer != "" {
-		tier, err := inferTierByName(spec.Infer)
-		if err != nil {
-			return CellResult{}, err
-		}
-		ml.SetInferTier(tier)
 	}
 	t0 := time.Now()
 	sp := obs.StartSpan(nil, "cell")

@@ -186,7 +186,7 @@ func TestCompareSignificance(t *testing.T) {
 }
 
 func TestTable2Tiny(t *testing.T) {
-	rows, err := Table2(tinyScale)
+	rows, err := Table2(tinyScale, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestTable2Tiny(t *testing.T) {
 }
 
 func TestTable3Tiny(t *testing.T) {
-	rows, err := Table3(tinyScale)
+	rows, err := Table3(tinyScale, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestTable3Tiny(t *testing.T) {
 
 func TestTable4Tiny(t *testing.T) {
 	sc := tinyScale
-	rows, err := Table4(sc)
+	rows, err := Table4(sc, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +473,7 @@ func TestInterruptSignatures(t *testing.T) {
 }
 
 func TestBackgroundNoiseExperiment(t *testing.T) {
-	res, err := BackgroundNoise(Scale{Sites: 6, TracesPerSite: 6, Folds: 3, Seed: 13})
+	res, err := BackgroundNoise(Scale{Sites: 6, TracesPerSite: 6, Folds: 3, Seed: 13}, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +494,7 @@ func TestTable1TinyTwoConfigs(t *testing.T) {
 		t.Skip("slow: runs 8 browser×OS configs")
 	}
 	sc := Scale{Sites: 3, TracesPerSite: 3, OpenWorld: 4, Folds: 3, Seed: 15}
-	rows, err := Table1(sc)
+	rows, err := Table1(sc, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}

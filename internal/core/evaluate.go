@@ -23,42 +23,18 @@ func DefaultClassifier(seed uint64) ml.Classifier {
 	return &ml.NearestCentroid{Prep: ml.DefaultPreprocessor}
 }
 
-// defaultClassifierOverride, when non-nil, replaces the built-in default
-// for every Evaluate call with a nil maker — including all table and figure
-// experiments, which is how cmd/experiments' -clf flag swaps the whole
-// run's classifier.
-var defaultClassifierOverride ClassifierMaker
-
-// SetDefaultClassifier overrides the classifier used when callers pass a
-// nil maker. Passing nil restores the built-in default (nearest centroid;
-// threshold-rejection variant on open-world datasets). Not safe to call
-// concurrently with running experiments.
-func SetDefaultClassifier(mk ClassifierMaker) { defaultClassifierOverride = mk }
-
-// defaultClassifierName mirrors the override by name so dispatched cell
-// specs can carry this process's classifier choice to worker replicas
-// (an override function can't travel over the wire).
-var defaultClassifierName string
-
-// ConfigureClassifier resolves a classifier name (the -clf vocabulary)
-// and installs it as the run-wide default, recording the name so
-// RunCellSpecs stamps it into dispatched cells. Not safe to call
-// concurrently with running experiments.
-func ConfigureClassifier(name string) error {
-	mk, err := ClassifierByName(name)
-	if err != nil {
-		return err
-	}
-	SetDefaultClassifier(mk)
-	defaultClassifierName = name
-	return nil
-}
-
 // ClassifierByName maps a command-line name to a ClassifierMaker. The empty
 // string and "centroid" return a nil maker, i.e. the built-in default.
 // Gradient-trained classifiers ("logreg", "cnn") exercise ml.Fit and so
-// populate the epoch-loss metrics and ml.fit spans in run manifests.
+// populate the epoch-loss metrics and ml.fit spans in run manifests; they
+// score on the compiled inference tier.
 func ClassifierByName(name string) (ClassifierMaker, error) {
+	return classifierFor(name, ml.TierCompiled)
+}
+
+// classifierFor is ClassifierByName with the inference tier the
+// gradient-trained classifiers score through.
+func classifierFor(name string, tier ml.InferTier) (ClassifierMaker, error) {
 	switch name {
 	case "", "centroid", "nearest-centroid":
 		return nil, nil
@@ -68,55 +44,14 @@ func ClassifierByName(name string) (ClassifierMaker, error) {
 		}, nil
 	case "logreg":
 		return func(seed uint64) ml.Classifier {
-			return &ml.LogReg{Prep: ml.DefaultPreprocessor, Seed: seed}
+			return &ml.LogReg{Prep: ml.DefaultPreprocessor, Seed: seed, Tier: tier}
 		}, nil
 	case "cnn", "cnn-lstm":
 		return func(seed uint64) ml.Classifier {
-			return &ml.CNNLSTM{Prep: ml.DefaultPreprocessor, Seed: seed}
+			return &ml.CNNLSTM{Prep: ml.DefaultPreprocessor, Seed: seed, Tier: tier}
 		}, nil
 	}
 	return nil, fmt.Errorf("core: unknown classifier %q (want centroid, knn, logreg, or cnn)", name)
-}
-
-// ConfigureInference selects the inference engine for gradient-trained
-// classifiers and its intra-op worker count, mirroring cmd/experiments'
-// -infer/-inferpar flags. mode "" or "compiled" uses the frozen float32
-// fast path (argmax-equivalent to the reference — see DESIGN.md); "int8"
-// uses the quantized tier (falling back through compiled when a model
-// doesn't quantize — see DESIGN.md "Quantized inference"); "reference"
-// forces the float64 training-graph forward pass. par ≤ 0 means GOMAXPROCS.
-// The underlying knobs are atomic, so reconfiguring mid-run is safe.
-func ConfigureInference(mode string, par int) error {
-	switch mode {
-	case "", "compiled":
-		ml.SetInferTier(ml.TierCompiled)
-	case "int8":
-		ml.SetInferTier(ml.TierInt8)
-	case "reference":
-		ml.SetInferTier(ml.TierReference)
-	default:
-		return fmt.Errorf("core: unknown inference mode %q (want compiled, int8, or reference)", mode)
-	}
-	ml.SetInferParallelism(par)
-	return nil
-}
-
-// ConfigureTraining selects the training engine for gradient-trained
-// classifiers, mirroring cmd/experiments' -trainbatch flag. mode "", "on",
-// or "batched" uses the batch-major shard path (bit-identical to the
-// reference — see TestTrainBatchedPerSampleEquivalence); "off" or
-// "persample" forces the per-sample reference engine. Not safe to call
-// concurrently with running experiments.
-func ConfigureTraining(mode string) error {
-	switch mode {
-	case "", "on", "batched":
-		ml.SetTrainBatched(true)
-	case "off", "persample":
-		ml.SetTrainBatched(false)
-	default:
-		return fmt.Errorf("core: unknown training mode %q (want on or off)", mode)
-	}
-	return nil
 }
 
 // Result summarizes one experiment's cross-validated accuracy.
@@ -171,9 +106,6 @@ func evaluateSpanned(parent *obs.Span, ds *trace.Dataset, sc Scale, mk Classifie
 // spans.
 func evaluateInfo(parent *obs.Span, ds *trace.Dataset, sc Scale, mk ClassifierMaker, name string) (Result, int64, error) {
 	if mk == nil {
-		mk = defaultClassifierOverride
-	}
-	if mk == nil {
 		if ds.NumClasses == sc.Sites+1 {
 			ns := sc.NonSensitiveLabel()
 			mk = func(uint64) ml.Classifier {
@@ -226,6 +158,12 @@ func evaluateInfo(parent *obs.Span, ds *trace.Dataset, sc Scale, mk ClassifierMa
 				clf := mk(sc.Seed + uint64(fi))
 				fsp.SetAttr("fold", fi).SetAttr("classifier", clf.Name()).
 					SetAttr("test_size", len(fold.Test))
+				switch c := clf.(type) {
+				case *ml.LogReg:
+					fsp.SetAttr("tier", c.Tier.String())
+				case *ml.CNNLSTM:
+					fsp.SetAttr("tier", c.Tier.String())
+				}
 				if err := clf.Fit(ds.Subset(fold.Train)); err != nil {
 					outs[fi].err = fmt.Errorf("fold %d: %w", fi, err)
 					busyNS.Add(releaseSlot(t0))

@@ -16,6 +16,9 @@ import (
 // Tables build their grids as wire-safe CellSpecs and hand them to
 // scatterCells, so the same grid runs through the local cell pool or —
 // when a dispatcher is installed — across worker replicas (internal/dist).
+// Every table takes the classifier and inference tier its cells name, in
+// the CellSpec.Classifier/Infer vocabulary ("" and "" mean nearest
+// centroid scored on the compiled tier).
 
 // Table1Config is one (browser, OS) row of Table 1.
 type Table1Config struct {
@@ -66,7 +69,7 @@ func (r Table1Row) String() string {
 // Table1 reproduces "Classification accuracy obtained with JavaScript
 // loop-counting attacker" across browser×OS combinations. Open-world runs
 // are skipped when sc.OpenWorld is 0.
-func Table1(sc Scale) ([]Table1Row, error) {
+func Table1(sc Scale, clf, infer string) ([]Table1Row, error) {
 	cfgs := Table1Configs()
 	rows := make([]Table1Row, len(cfgs))
 	closedScale := sc
@@ -104,7 +107,7 @@ func Table1(sc Scale) ([]Table1Row, error) {
 			cell(sweepOpen, sc, &rows[i].OpenSweep)
 		}
 	}
-	if err := scatterCells(specs, dsts, sc.CellParallelism); err != nil {
+	if err := scatterCells(specs, dsts, sc.CellParallelism, clf, infer); err != nil {
 		return nil, err
 	}
 	for i := range rows {
@@ -131,7 +134,7 @@ func (r Table2Row) String() string {
 // different sources of noise": loop- and sweep-counting under no noise,
 // cache-sweep noise, and interrupt noise, all on Chrome/Linux (§4.3 runs
 // this controlled comparison on a single machine).
-func Table2(sc Scale) ([]Table2Row, error) {
+func Table2(sc Scale, clf, infer string) ([]Table2Row, error) {
 	sc.OpenWorld = 0
 	// Full capacity up front: dsts hold pointers into rows, so the backing
 	// array must never reallocate.
@@ -157,7 +160,7 @@ func Table2(sc Scale) ([]Table2Row, error) {
 			dsts = append(dsts, &rows[len(rows)-1].Result)
 		}
 	}
-	if err := scatterCells(specs, dsts, sc.CellParallelism); err != nil {
+	if err := scatterCells(specs, dsts, sc.CellParallelism, clf, infer); err != nil {
 		return nil, err
 	}
 	return rows, nil
@@ -176,7 +179,7 @@ func (r Table3Row) String() string {
 // Table3 reproduces "Classification accuracy obtained with Python
 // loop-counting attacker under various isolation mechanisms". Each step
 // adds one mechanism to all previous ones (§5.1).
-func Table3(sc Scale) ([]Table3Row, error) {
+func Table3(sc Scale, clf, infer string) ([]Table3Row, error) {
 	sc.OpenWorld = 0
 	base := ScenarioSpec{
 		OS:      "linux",
@@ -206,7 +209,7 @@ func Table3(sc Scale) ([]Table3Row, error) {
 		specs[i] = CellSpec{Scenario: scn, Scale: sc}
 		dsts[i] = &rows[i].Result
 	}
-	if err := scatterCells(specs, dsts, sc.CellParallelism); err != nil {
+	if err := scatterCells(specs, dsts, sc.CellParallelism, clf, infer); err != nil {
 		return nil, err
 	}
 	return rows, nil
@@ -229,7 +232,7 @@ func (r Table4Row) String() string {
 // loop-counting attacker with different timers": Chrome's jittered timer,
 // a Tor-style 100 ms quantized timer, and the paper's randomized timer at
 // P ∈ {5, 100, 500} ms (§6.1).
-func Table4(sc Scale) ([]Table4Row, error) {
+func Table4(sc Scale, clf, infer string) ([]Table4Row, error) {
 	sc.OpenWorld = 0
 	base := ScenarioSpec{
 		OS:      "linux",
@@ -264,7 +267,7 @@ func Table4(sc Scale) ([]Table4Row, error) {
 		specs[i] = CellSpec{Scenario: scn, Scale: sc}
 		dsts[i] = &rows[i].Result
 	}
-	if err := scatterCells(specs, dsts, sc.CellParallelism); err != nil {
+	if err := scatterCells(specs, dsts, sc.CellParallelism, clf, infer); err != nil {
 		return nil, err
 	}
 	return rows, nil
@@ -282,7 +285,7 @@ func (r BackgroundNoiseResult) String() string {
 }
 
 // BackgroundNoise runs the robustness experiment on Chrome/Linux.
-func BackgroundNoise(sc Scale) (BackgroundNoiseResult, error) {
+func BackgroundNoise(sc Scale, clf, infer string) (BackgroundNoiseResult, error) {
 	sc.OpenWorld = 0
 	base := ScenarioSpec{OS: "linux", Browser: "chrome", Attack: "loop"}
 	quiet := base
@@ -296,7 +299,7 @@ func BackgroundNoise(sc Scale) (BackgroundNoiseResult, error) {
 		{Scenario: noisy, Scale: sc},
 	}
 	dsts := []*Result{&res.Quiet, &res.Noisy}
-	if err := scatterCells(specs, dsts, sc.CellParallelism); err != nil {
+	if err := scatterCells(specs, dsts, sc.CellParallelism, clf, infer); err != nil {
 		return BackgroundNoiseResult{}, err
 	}
 	return res, nil

@@ -22,6 +22,21 @@ func scoreArgmax(scores [][]float64) []int {
 	return out
 }
 
+// scoreOn sets a trained classifier's inference tier and worker count, then
+// scores values through it.
+func scoreOn(t *testing.T, clf ml.Classifier, tier ml.InferTier, par int, values [][]float64) [][]float64 {
+	t.Helper()
+	switch c := clf.(type) {
+	case *ml.LogReg:
+		c.Tier, c.Parallelism = tier, par
+	case *ml.CNNLSTM:
+		c.Tier, c.Parallelism = tier, par
+	default:
+		t.Fatalf("%s has no inference tier", clf.Name())
+	}
+	return clf.(ml.BatchScorer).ScoresBatch(values)
+}
+
 // TestCompiledReferenceEquivalence is the pipeline-level acceptance gate for
 // the compiled inference path: on every golden-grid dataset, classifiers
 // trained once must produce identical argmax decisions whether scored
@@ -29,13 +44,6 @@ func scoreArgmax(scores [][]float64) []int {
 // CompiledModel, at serial and parallel intra-op worker counts. make ci
 // greps for this test's PASS line, so it must never be skipped.
 func TestCompiledReferenceEquivalence(t *testing.T) {
-	wasOn := ml.InferCompiledEnabled()
-	wasPar := ml.InferParallelism()
-	defer func() {
-		ml.SetInferCompiled(wasOn)
-		ml.SetInferParallelism(wasPar)
-	}()
-
 	for _, scn := range goldenGrid() {
 		scn := scn
 		t.Run(scn.Name, func(t *testing.T) {
@@ -63,18 +71,10 @@ func TestCompiledReferenceEquivalence(t *testing.T) {
 					t.Logf("%s: Fit: %v (equivalence vacuous)", name, err)
 					continue
 				}
-				bs, ok := clf.(ml.BatchScorer)
-				if !ok {
-					t.Fatalf("%s does not implement BatchScorer", name)
-				}
-				ml.SetInferCompiled(false)
-				ref := bs.ScoresBatch(values)
+				ref := scoreOn(t, clf, ml.TierReference, 0, values)
 				refTop := scoreArgmax(ref)
-
-				ml.SetInferCompiled(true)
 				for _, par := range []int{1, runtime.NumCPU()} {
-					ml.SetInferParallelism(par)
-					got := bs.ScoresBatch(values)
+					got := scoreOn(t, clf, ml.TierCompiled, par, values)
 					gotTop := scoreArgmax(got)
 					for i := range refTop {
 						if gotTop[i] != refTop[i] {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/ml"
 	"repro/internal/obs"
 )
 
@@ -77,10 +76,6 @@ func ProgressLine() string {
 	if tr := cTrimmed.Value(); tr > 0 {
 		line += fmt.Sprintf(" | trimmed %d", tr)
 	}
-	line += " | infer " + ml.ActiveInferTier().String()
-	if par := ml.InferParallelism(); par > 0 {
-		line += fmt.Sprintf("/p%d", par)
-	}
 	return line
 }
 
@@ -129,12 +124,6 @@ func ManifestSections(wall time.Duration) map[string]any {
 			"traces":          cTraces.Value(),
 			"trimmed_samples": cTrimmed.Value(),
 			"folds":           cFolds.Value(),
-		},
-		// The configured tier; per-call fallbacks (models that fail to
-		// compile or quantize) show up in the ml.infer.cache.* counters.
-		"inference": map[string]any{
-			"tier":        ml.ActiveInferTier().String(),
-			"parallelism": ml.InferParallelism(),
 		},
 	}
 }

@@ -24,22 +24,20 @@ func TestObservedExperimentManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetDefaultClassifier(mk)
-	defer SetDefaultClassifier(nil)
 
 	scn := benchScenario()
 	scn.Name = "obs/manifest"
 	sc := benchCollectScale
 	sc.Seed = 4242 // private cache key: other tests must not satisfy this collect
 	start := time.Now()
-	res, err := RunExperiment(scn, sc, nil)
+	res, err := RunExperiment(scn, sc, mk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Second run: collection must come from the dataset cache while
 	// evaluation recomputes, giving the manifest one cached and one
 	// uncached cell.
-	if _, err := RunExperiment(scn, sc, nil); err != nil {
+	if _, err := RunExperiment(scn, sc, mk); err != nil {
 		t.Fatal(err)
 	}
 
@@ -102,10 +100,16 @@ func TestObservedExperimentManifest(t *testing.T) {
 	// LogReg trains through ml.Fit, so epoch metrics and per-fit loss
 	// curves must be present.
 	if m.Metrics.Counters["ml.fit.epochs"] <= 0 {
-		t.Error("ml.fit.epochs not recorded; classifier override did not reach ml.Fit")
+		t.Error("ml.fit.epochs not recorded; the logreg maker did not reach ml.Fit")
 	}
-	var fitSpans int
+	var fitSpans, foldSpans int
 	for _, s := range m.Spans {
+		if s.Name == "fold" {
+			foldSpans++
+			if s.Attrs["tier"] != "compiled" {
+				t.Errorf("fold span tier = %v, want compiled", s.Attrs["tier"])
+			}
+		}
 		if s.Name != "ml.fit" {
 			continue
 		}
@@ -115,8 +119,8 @@ func TestObservedExperimentManifest(t *testing.T) {
 			t.Errorf("ml.fit span missing epoch losses: %v", s.Attrs)
 		}
 	}
-	if fitSpans != 2*sc.Folds {
-		t.Errorf("ml.fit spans = %d, want %d (one per fold)", fitSpans, 2*sc.Folds)
+	if fitSpans != 2*sc.Folds || foldSpans != 2*sc.Folds {
+		t.Errorf("ml.fit spans = %d, fold spans = %d, want %d each", fitSpans, foldSpans, 2*sc.Folds)
 	}
 
 	slots, ok := m.Sections["slots"].(map[string]any)

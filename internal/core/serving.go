@@ -31,18 +31,15 @@ type ServingModel struct {
 }
 
 // ParseServingTier maps the -infer flag's vocabulary onto the tiers a
-// serving daemon accepts. Unlike ConfigureInference, "reference" is an
-// error: serving requires a frozen artifact.
+// serving daemon accepts: the CellSpec.Infer vocabulary ("" means
+// compiled), except that "reference" is an error because serving requires
+// a frozen artifact.
 func ParseServingTier(mode string) (ml.InferTier, error) {
-	switch mode {
-	case "", "int8":
-		return ml.TierInt8, nil
-	case "compiled":
-		return ml.TierCompiled, nil
-	case "reference":
+	tier, err := ParseInferTier(mode)
+	if err == nil && tier == ml.TierReference {
 		return 0, fmt.Errorf("core: serving requires a compiled tier (want int8 or compiled)")
 	}
-	return 0, fmt.Errorf("core: unknown inference mode %q (want int8 or compiled)", mode)
+	return tier, err
 }
 
 // BuildServingModel collects a dataset for the scenario, trains the named

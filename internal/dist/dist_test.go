@@ -13,8 +13,9 @@ import (
 )
 
 // testGrid is a representative slice of the table grids: two browsers ×
-// two attacks, a Python/randomized-timer cell, and an open-world cell,
-// all at a tiny scale with short traces so the test stays fast.
+// two attacks, a Python/randomized-timer cell, an open-world cell, and a
+// mixed classifier × inference-tier block, all at a tiny scale with short
+// traces so the test stays fast.
 func testGrid() []core.CellSpec {
 	sc := core.Scale{Sites: 3, TracesPerSite: 2, Folds: 2, Seed: 7}
 	var specs []core.CellSpec
@@ -46,6 +47,19 @@ func testGrid() []core.CellSpec {
 		},
 		Scale: open,
 	})
+	// Every cell names its own classifier and tier, so cells running side
+	// by side must not leak either choice into one another.
+	for _, clf := range []string{"centroid", "knn", "logreg"} {
+		for _, tier := range []string{"compiled", "int8", "reference"} {
+			specs = append(specs, core.CellSpec{
+				Scenario: core.ScenarioSpec{
+					Name: fmt.Sprintf("grid/mixed/%s/%s", clf, tier), OS: "linux",
+					Browser: "chrome", Attack: "loop", TraceDurationS: 2,
+				},
+				Scale: sc, Classifier: clf, Infer: tier,
+			})
+		}
+	}
 	return specs
 }
 
@@ -68,15 +82,32 @@ func normalizeRow(c obs.CellSummary) obs.CellSummary {
 	return c
 }
 
-// TestDistManifestEquivalence is the acceptance gate: a coordinator with
-// two in-process workers must produce bit-identical per-cell results and
-// the same manifest cell-row set (modulo host/timing fields) as a
-// single-process run of the same grid.
+// TestDistManifestEquivalence is the acceptance gate: a concurrent
+// single-process run and a coordinator with two in-process workers must
+// both produce per-cell results bit-identical to each cell run alone, and
+// the same manifest cell-row set (modulo host/timing fields). A cell's
+// result is a pure function of its spec: nearest-centroid cells never
+// train a gradient model, whatever else runs beside them.
 func TestDistManifestEquivalence(t *testing.T) {
 	grid := testGrid()
 	local, err := core.RunCellSpecs(grid, 0)
 	if err != nil {
 		t.Fatalf("local run: %v", err)
+	}
+
+	fits := obs.Default.Counter("ml.fit.calls")
+	alone := make([]core.CellResult, len(grid))
+	for i, spec := range grid {
+		before := fits.Value()
+		if alone[i], err = core.RunCell(spec); err != nil {
+			t.Fatalf("cell %q alone: %v", spec.Scenario.Name, err)
+		}
+		switch n := fits.Value() - before; {
+		case spec.Classifier == "centroid" && n != 0:
+			t.Errorf("centroid cell %q made %d ml.Fit calls, want 0", spec.Scenario.Name, n)
+		case spec.Classifier == "logreg" && n == 0:
+			t.Errorf("logreg cell %q made no ml.Fit calls", spec.Scenario.Name)
+		}
 	}
 
 	co, err := NewCoordinator("127.0.0.1:0", Config{})
@@ -97,13 +128,16 @@ func TestDistManifestEquivalence(t *testing.T) {
 		t.Fatalf("worker: %v", err)
 	}
 
-	if len(distributed) != len(local) {
-		t.Fatalf("got %d results, want %d", len(distributed), len(local))
+	if len(local) != len(grid) || len(distributed) != len(grid) {
+		t.Fatalf("got %d local and %d distributed results, want %d", len(local), len(distributed), len(grid))
 	}
-	for i := range local {
-		lj, dj := mustJSON(t, local[i].Result), mustJSON(t, distributed[i].Result)
-		if lj != dj {
-			t.Errorf("cell %q result differs:\nlocal %s\ndist  %s", grid[i].Scenario.Name, lj, dj)
+	for i := range grid {
+		aj := mustJSON(t, alone[i].Result)
+		if lj := mustJSON(t, local[i].Result); lj != aj {
+			t.Errorf("cell %q result differs:\nalone %s\nlocal %s", grid[i].Scenario.Name, aj, lj)
+		}
+		if dj := mustJSON(t, distributed[i].Result); dj != aj {
+			t.Errorf("cell %q result differs:\nalone %s\ndist  %s", grid[i].Scenario.Name, aj, dj)
 		}
 	}
 

@@ -19,19 +19,9 @@ import "math"
 // weight gradients, the shard loss) is written in ascending sample order —
 // the order the per-sample engine processes a shard. Trained weights are
 // therefore bit-identical between the two engines at every Parallelism;
-// TestTrainBatchedPerSampleEquivalence enforces this.
-
-// trainBatchedOn selects the batch-major shard path (default) or the
-// per-sample reference path. Like SetInferCompiled, not safe to flip while
-// a Fit is running.
-var trainBatchedOn = true
-
-// SetTrainBatched selects between the batch-major training fast path
-// (true, default) and the per-sample reference engine.
-func SetTrainBatched(on bool) { trainBatchedOn = on }
-
-// TrainBatchedEnabled reports whether the batch-major path is active.
-func TrainBatchedEnabled() bool { return trainBatchedOn }
+// TestTrainBatchedPerSampleEquivalence enforces this. The per-sample engine
+// remains the only path for non-uniform input shapes and the tests'
+// reference (FitConfig.perSample).
 
 // batchT is a batch of N equally-shaped Rows×Cols samples in one
 // contiguous sample-major buffer.

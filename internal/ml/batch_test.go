@@ -6,23 +6,20 @@ import (
 	"repro/internal/sim"
 )
 
-// trainEquivMode trains the trainEquiv model with the batched path forced
-// on or off and returns weights and accuracy.
-func trainEquivMode(t *testing.T, par int, batched bool) (Weights, float64) {
-	t.Helper()
-	was := TrainBatchedEnabled()
-	SetTrainBatched(batched)
-	defer SetTrainBatched(was)
-	return trainEquiv(t, par)
-}
-
 // TestTrainBatchedPerSampleEquivalence is the acceptance gate of the
 // batch-major fast path: trained weights must be bit-identical to the
 // per-sample reference engine, at Parallelism 1 and ≥4, dropout active.
 func TestTrainBatchedPerSampleEquivalence(t *testing.T) {
 	for _, par := range []int{1, 4} {
-		refW, refAcc := trainEquivMode(t, par, false)
-		w, acc := trainEquivMode(t, par, true)
+		b0 := mTrainBatchedBatches.Value()
+		refW, refAcc := trainEquiv(t, par, true)
+		if n := mTrainBatchedBatches.Value() - b0; n != 0 {
+			t.Fatalf("par=%d: per-sample reference ran %d batched batches", par, n)
+		}
+		w, acc := trainEquiv(t, par, false)
+		if mTrainBatchedBatches.Value() == b0 {
+			t.Fatalf("par=%d: batched run never took the batch-major path", par)
+		}
 		if acc != refAcc {
 			t.Errorf("par=%d: batched accuracy %v != per-sample %v", par, acc, refAcc)
 		}
@@ -110,11 +107,9 @@ func TestStreamReseedMatchesNewStream(t *testing.T) {
 	}
 }
 
-// benchFit trains a small PaperNet with the given mode for the benchmark.
-func benchFit(b *testing.B, par int, batched bool) {
-	was := TrainBatchedEnabled()
-	SetTrainBatched(batched)
-	defer SetTrainBatched(was)
+// benchFit trains a small PaperNet on the batch-major engine, or on the
+// per-sample reference engine when perSample is set, for the benchmark.
+func benchFit(b *testing.B, par int, perSample bool) {
 	X, y := equivDataset(48, 300)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -123,7 +118,7 @@ func benchFit(b *testing.B, par int, batched bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg := FitConfig{Epochs: 2, BatchSize: 16, LR: 0.003, Seed: 11, Parallelism: par}
+		cfg := FitConfig{Epochs: 2, BatchSize: 16, LR: 0.003, Seed: 11, Parallelism: par, perSample: perSample}
 		if err := model.Fit(X, y, nil, nil, cfg); err != nil {
 			b.Fatal(err)
 		}
@@ -133,6 +128,6 @@ func benchFit(b *testing.B, par int, batched bool) {
 // BenchmarkFitBatched compares the batch-major fast path against the
 // per-sample reference engine on the paper's network shape.
 func BenchmarkFitBatched(b *testing.B) {
-	b.Run("batched", func(b *testing.B) { benchFit(b, 0, true) })
-	b.Run("persample", func(b *testing.B) { benchFit(b, 0, false) })
+	b.Run("batched", func(b *testing.B) { benchFit(b, 0, false) })
+	b.Run("persample", func(b *testing.B) { benchFit(b, 0, true) })
 }

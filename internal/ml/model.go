@@ -159,6 +159,10 @@ type FitConfig struct {
 	Parallelism int
 	// Verbose receives per-epoch progress lines when non-nil.
 	Verbose func(epoch int, trainLoss, valAcc float64)
+	// perSample forces the per-sample reference engine, the in-package
+	// tests' twin of the batch-major path (trained weights are
+	// bit-identical either way).
+	perSample bool
 }
 
 // Fit trains the model on (X, y) with optional validation-based early
@@ -184,6 +188,7 @@ func (s *Sequential) Fit(X []*Tensor, y []int, valX []*Tensor, valY []int, cfg F
 	}
 	eng := newTrainEngine(s, par, X)
 	defer eng.close()
+	eng.batched = eng.batched && !cfg.perSample
 	opt := NewAdam(s.Params(), cfg.LR)
 	rng := sim.NewStream(cfg.Seed, "fit")
 	order := make([]int, len(X))

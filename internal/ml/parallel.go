@@ -177,7 +177,7 @@ func newTrainEngine(s *Sequential, par int, X []*Tensor) *trainEngine {
 		}
 		e.shardG = append(e.shardG, bufs)
 	}
-	e.batched = trainBatchedOn && len(X) > 0 && uniformShape(X) &&
+	e.batched = len(X) > 0 && uniformShape(X) &&
 		e.replicas[0].bLayers != nil
 	if workers > 1 {
 		e.tasks = make(chan engTask, maxGradShards)

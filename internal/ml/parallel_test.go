@@ -29,14 +29,14 @@ func equivDataset(n, length int) ([]*Tensor, []int) {
 // trainEquiv trains a fresh small PaperNet (with dropout active, the
 // hardest layer to keep deterministic) for 3 epochs at the given worker
 // count and returns the resulting weights and training-set accuracy.
-func trainEquiv(t *testing.T, par int) (Weights, float64) {
+func trainEquiv(t *testing.T, par int, perSample bool) (Weights, float64) {
 	t.Helper()
 	X, y := equivDataset(40, 160)
 	model, err := PaperNet(5, 160, 4, 4, 6, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := FitConfig{Epochs: 3, BatchSize: 16, LR: 0.003, Seed: 9, Parallelism: par}
+	cfg := FitConfig{Epochs: 3, BatchSize: 16, LR: 0.003, Seed: 9, Parallelism: par, perSample: perSample}
 	if err := model.Fit(X, y, nil, nil, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -47,9 +47,9 @@ func trainEquiv(t *testing.T, par int) (Weights, float64) {
 // training engine: the same seed must produce bit-identical weights for
 // every Parallelism value.
 func TestParallelSerialEquivalence(t *testing.T) {
-	refW, refAcc := trainEquiv(t, 1)
+	refW, refAcc := trainEquiv(t, 1, false)
 	for _, par := range []int{2, 4, 7} {
-		w, acc := trainEquiv(t, par)
+		w, acc := trainEquiv(t, par, false)
 		if acc != refAcc {
 			t.Errorf("Parallelism=%d accuracy %v != serial %v", par, acc, refAcc)
 		}

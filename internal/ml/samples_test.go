@@ -154,24 +154,21 @@ func TestShardAliasMatchesGather(t *testing.T) {
 // (batch aliasing active wherever the shuffle leaves consecutive runs) must
 // produce weights bit-identical to the per-sample reference engine.
 func TestTrainArenaPerSampleEquivalence(t *testing.T) {
-	train := func(par int, batched bool) Weights {
-		was := TrainBatchedEnabled()
-		SetTrainBatched(batched)
-		defer SetTrainBatched(was)
+	train := func(par int, perSample bool) Weights {
 		s := equivSamples(40, 160)
 		model, err := PaperNet(5, 160, 4, 4, 6, 0.3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := FitConfig{Epochs: 3, BatchSize: 16, LR: 0.003, Seed: 9, Parallelism: par}
+		cfg := FitConfig{Epochs: 3, BatchSize: 16, LR: 0.003, Seed: 9, Parallelism: par, perSample: perSample}
 		if err := model.Fit(s.X, s.Y, nil, nil, cfg); err != nil {
 			t.Fatal(err)
 		}
 		return model.ExportWeights()
 	}
 	for _, par := range []int{1, 4} {
-		refW := train(par, false)
-		w := train(par, true)
+		refW := train(par, true)
+		w := train(par, false)
 		for bi := range w.Blobs {
 			for i := range w.Blobs[bi] {
 				if w.Blobs[bi][i] != refW.Blobs[bi][i] {
