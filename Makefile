@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-ml bench-train bench-train-smoke bench-infer bench-infer-smoke bench-infer-int8 bench-infer-int8-smoke bench-serve bench-serve-smoke bench-collect bench-collect-smoke bench-dist bench-dist-smoke check-infer-equivalence check-int8-agreement check-train-equivalence check-telemetry-merge check-dist-equivalence bench-smoke bench-obs smoke-obs smoke-telemetry smoke-dist ci clean
+.PHONY: all fmt build vet test race bench bench-e2e bench-ml bench-train bench-train-smoke bench-infer bench-infer-smoke bench-infer-int8 bench-infer-int8-smoke bench-serve bench-serve-smoke bench-collect bench-collect-smoke bench-dist bench-dist-smoke check-infer-equivalence check-int8-agreement check-train-equivalence check-telemetry-merge check-dist-equivalence bench-smoke bench-obs smoke-obs smoke-telemetry smoke-dist ci clean
 
 # Run directory for benchmark artifacts. Every bench target drops all of its
 # outputs — profiles and the machine-readable JSON from cmd/benchjson — into
@@ -18,6 +18,11 @@ all: build
 
 build:
 	$(GO) build ./...
+
+# gofmt gate: lists every Go file that is not gofmt-clean and fails if
+# there is any.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -38,6 +43,17 @@ bench: | $(OUTDIR)
 	$(GO) test -run xxx -bench . -benchmem \
 		-cpuprofile $(OUTDIR)/cpu.prof -memprofile $(OUTDIR)/mem.prof . \
 		| $(GO) run ./cmd/benchjson -tee -o $(OUTDIR)/BENCH.json
+
+# End-to-end paper run: one perfbench paper-grid run (Tables 1-4 and §4.2
+# cells at small scale, seed 1, 20 s, end-to-end metrics only). The full
+# output, with provenance and the result digest, goes to bench-e2e.log and
+# the JSON result line to BENCH_e2e.json in $(OUTDIR). BENCH_e2e.json at
+# the repo root is the committed baseline: repeated alternating runs of a
+# change and its parent on one host, as medians and quartiles.
+bench-e2e: | $(OUTDIR)
+	bash perfbench/run.sh --p99-limit 20ms --workload paper-grid --seed 1 --seconds 20 --trace 0 \
+		> $(OUTDIR)/bench-e2e.log
+	tail -n 1 $(OUTDIR)/bench-e2e.log > $(OUTDIR)/BENCH_e2e.json
 
 # Just the ML-engine benchmarks: training throughput, inference, and the
 # f64/f32 GEMM kernels. BENCH_ml.json is the machine-readable trajectory
@@ -206,7 +222,7 @@ smoke-dist:
 	grep -q '"source": "smoke-w' smoke-dist-out/run.json
 	rm -rf smoke-dist-out
 
-ci: build vet test race bench-smoke bench-infer-smoke bench-infer-int8-smoke bench-train-smoke bench-serve-smoke bench-collect-smoke bench-dist-smoke check-infer-equivalence check-int8-agreement check-train-equivalence check-telemetry-merge check-dist-equivalence smoke-obs smoke-telemetry smoke-dist
+ci: fmt build vet test race bench-smoke bench-infer-smoke bench-infer-int8-smoke bench-train-smoke bench-serve-smoke bench-collect-smoke bench-dist-smoke check-infer-equivalence check-int8-agreement check-train-equivalence check-telemetry-merge check-dist-equivalence smoke-obs smoke-telemetry smoke-dist
 
 clean:
 	$(GO) clean

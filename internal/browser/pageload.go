@@ -76,16 +76,16 @@ func schedulePulse(m *kernel.Machine, pl website.Pulse, dilation float64, until 
 		}
 	})
 
-	// Memory traffic and governor load apply in fixed chunks.
+	// Memory traffic and governor load apply in fixed chunks over
+	// [start, end). The chunks are one Repeat source, so only the next
+	// chunk of each pulse waits in the event queue.
 	linesPerChunk := memRate * memChunk.Seconds()
 	memRNG := rng.Fork("mem")
-	for at := start; at < end; at += memChunk {
-		at := at
-		m.Eng.Schedule(at, func() {
-			m.Sched.VictimMemory(linesPerChunk * memRNG.LogNormal(0, 0.1))
-			m.Gov.ReportLoad(pl.Load)
-		})
-	}
+	chunks := int((end - start + memChunk - 1) / memChunk)
+	m.Eng.Repeat(start, memChunk, chunks, func() {
+		m.Sched.VictimMemory(linesPerChunk * memRNG.LogNormal(0, 0.1))
+		m.Gov.ReportLoad(pl.Load)
+	})
 }
 
 // poissonStream schedules events at exponential inter-arrival times with

@@ -151,6 +151,7 @@ func collectOne(m *kernel.Machine, scn Scenario, profile website.Profile, label,
 	cTraces.Inc()
 	cSimProcessed.Add(int64(m.Eng.Processed))
 	cSimScheduled.Add(int64(m.Eng.Scheduled()))
+	gSimPendingMax.Max(int64(m.Eng.MaxPending()))
 	return tr, nil
 }
 

@@ -133,3 +133,28 @@ func TestGoldenDeterminism(t *testing.T) {
 		})
 	}
 }
+
+// maxGoldenPending bounds the event-queue depth of any golden-grid trace.
+// Lazily re-armed sources (tickers, Poisson chains, one Repeat per pulse
+// for page-load memory chunks) keep the queue a few dozen deep; queuing
+// every chunk of every pulse up front instead reaches about a thousand.
+const maxGoldenPending = 256
+
+// TestGoldenHeapDepth is the regression gate for event-queue bloat: it
+// collects the golden grid and reads the core.sim.pending_max high-water
+// back from the manifest's "sim" section.
+func TestGoldenHeapDepth(t *testing.T) {
+	gSimPendingMax.Set(0)
+	sc := goldenScale
+	sc.Parallelism = 1
+	for _, scn := range goldenGrid() {
+		if _, err := collectDatasetForTest(scn, sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	depth := ManifestSections(0)["sim"].(map[string]any)["pending_max"].(int64)
+	t.Logf("golden grid event-queue high-water: %d", depth)
+	if depth <= 0 || depth >= maxGoldenPending {
+		t.Fatalf("sim pending_max = %d, want in (0, %d)", depth, maxGoldenPending)
+	}
+}

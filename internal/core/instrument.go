@@ -11,10 +11,10 @@ import (
 // updates on the order of a few per trace simulation (milliseconds of work
 // each), so they stay unconditional; anything costing an allocation or a
 // time.Now() — spans, slot-held timing — is gated on obs.On() at the call
-// site. Simulation event counts come from reading Engine.Processed and
-// Engine.Scheduled() after each trace rather than per-event hooks, which
-// keeps the event hot path allocation- and instrumentation-free
-// (sim.TestSteadyStateAllocFree).
+// site. Simulation event counts and the heap-depth high-water come from
+// reading Engine.Processed, Engine.Scheduled() and Engine.MaxPending()
+// after each trace rather than per-event hooks, which keeps the event hot
+// path allocation- and instrumentation-free (sim.TestSteadyStateAllocFree).
 var (
 	gSlotCap       = obs.Default.Gauge("core.slots.capacity")
 	gSlotsInUse    = obs.Default.Gauge("core.slots.in_use")
@@ -34,6 +34,10 @@ var (
 	cTrimmed      = obs.Default.Counter("core.traces.trimmed_samples")
 	cSimScheduled = obs.Default.Counter("core.sim.events_scheduled")
 	cSimProcessed = obs.Default.Counter("core.sim.events_processed")
+	// gSimPendingMax is the deepest event queue any trace reached, folded
+	// with a max. Telemetry merges add gauges, so a figure merged over
+	// several workers is a sum of their maxima, an upper bound.
+	gSimPendingMax = obs.Default.Gauge("core.sim.pending_max")
 
 	cCellsPlanned   = obs.Default.Counter("core.cells.planned")
 	cCellsCompleted = obs.Default.Counter("core.cells.completed")
@@ -117,6 +121,7 @@ func ManifestSections(wall time.Duration) map[string]any {
 		"sim": map[string]any{
 			"events_scheduled": cSimScheduled.Value(),
 			"events_processed": cSimProcessed.Value(),
+			"pending_max":      gSimPendingMax.Value(),
 		},
 		"pipeline": map[string]any{
 			"cells_planned":   cCellsPlanned.Value(),

@@ -56,6 +56,20 @@ func (g *Gauge) Add(n int64) {
 	}
 }
 
+// Max raises the value to n if n is larger, leaving it unchanged
+// otherwise: a high-water mark that concurrent writers fold into.
+func (g *Gauge) Max(n int64) {
+	if g == nil {
+		return
+	}
+	for {
+		cur := g.v.Load()
+		if n <= cur || g.v.CompareAndSwap(cur, n) {
+			return
+		}
+	}
+}
+
 // Value returns the current value.
 func (g *Gauge) Value() int64 {
 	if g == nil {

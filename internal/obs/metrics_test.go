@@ -28,6 +28,7 @@ func TestRegistryConcurrency(t *testing.T) {
 				r.Counter(fmt.Sprintf("c.%d", w)).Add(2)
 				r.Gauge("g").Add(1)
 				r.Gauge("g").Add(-1)
+				r.Gauge("hw").Max(int64(w*iters + i))
 				r.FloatGauge("f").Set(float64(i))
 				r.Histogram("h", 1, 10, 100).Observe(float64(i % 150))
 			}
@@ -45,6 +46,9 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 	if got := r.Gauge("g").Value(); got != 0 {
 		t.Errorf("gauge g = %d, want 0 (balanced adds)", got)
+	}
+	if got := r.Gauge("hw").Value(); got != workers*iters-1 {
+		t.Errorf("gauge hw = %d, want the largest folded value %d", got, workers*iters-1)
 	}
 	h := r.Histogram("h")
 	if got := h.Count(); got != workers*iters {
@@ -136,6 +140,7 @@ func TestNilMetricsSafe(t *testing.T) {
 	_ = c.Value()
 	g.Set(1)
 	g.Add(1)
+	g.Max(1)
 	_ = g.Value()
 	f.Set(1)
 	_ = f.Value()

@@ -19,12 +19,7 @@ func BenchmarkEngine(b *testing.B) {
 		step = func() { e.After(gap, step) }
 		e.After(gap, step)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := e.Processed
-	for e.Processed-start < uint64(b.N) {
-		e.Run(e.Now() + 4096)
-	}
+	benchEngineRun(b, e)
 }
 
 // BenchmarkEngineChurn measures transient behaviour: building a fresh queue
@@ -38,4 +33,54 @@ func BenchmarkEngineChurn(b *testing.B) {
 		}
 		e.RunAll()
 	}
+}
+
+// deepHeapOneShots is the queue depth BenchmarkEngineDeepHeap holds: the
+// pending-event count of a page-load run that queues every 5 ms memory
+// chunk of every pulse up front.
+const deepHeapOneShots = 10000
+
+// BenchmarkEngineDeepHeap measures event throughput with ~10k one-shots
+// pending beside the tickers and interrupt chains of BenchmarkEngine. Each
+// one-shot re-schedules itself a full lap ahead, so the queue stays at that
+// depth and every push and pop pays for it. Compare BenchmarkEngineRepeat.
+func BenchmarkEngineDeepHeap(b *testing.B) {
+	e := NewEngine()
+	for _, p := range []Duration{7, 11, 13, 17, 19, 23, 29, 31} {
+		e.Tick(0, p, func(Time) {})
+	}
+	const lap = deepHeapOneShots * 5
+	for i := 0; i < deepHeapOneShots; i++ {
+		var step func()
+		step = func() { e.After(lap, step) }
+		e.Schedule(Time(i*5), step)
+	}
+	benchEngineRun(b, e)
+}
+
+// BenchmarkEngineRepeat is the shape BenchmarkEngineDeepHeap turns into
+// when the one-shots are Repeat series: the same tickers plus 64 long
+// series at 5 ns spacing, each holding one pending element, so the queue
+// stays shallow and re-arming allocates nothing.
+func BenchmarkEngineRepeat(b *testing.B) {
+	e := NewEngine()
+	for _, p := range []Duration{7, 11, 13, 17, 19, 23, 29, 31} {
+		e.Tick(0, p, func(Time) {})
+	}
+	for i := 0; i < 64; i++ {
+		e.Repeat(Time(i), 5*64, 1<<40, func() {})
+	}
+	benchEngineRun(b, e)
+}
+
+// benchEngineRun drives e for b.N processed events after the set-up and
+// reports the queue's high-water depth next to ns/op.
+func benchEngineRun(b *testing.B, e *Engine) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := e.Processed
+	for e.Processed-start < uint64(b.N) {
+		e.Run(e.Now() + 4096)
+	}
+	b.ReportMetric(float64(e.MaxPending()), "pending_max")
 }

@@ -71,6 +71,7 @@ type Engine struct {
 	slots   []slot
 	free    int32 // head of the slot free list; -1 when empty
 	stopped bool
+	maxPend int // high-water mark of len(heap)
 	// Processed counts events executed since creation (or the last Reset);
 	// useful for budget checks and performance diagnostics.
 	Processed uint64
@@ -87,6 +88,7 @@ func NewEngine() *Engine {
 func (e *Engine) Reset() {
 	e.now, e.seq, e.Processed = 0, 0, 0
 	e.stopped = false
+	e.maxPend = 0
 	e.heap = e.heap[:0]
 	clear(e.slots) // release retained closures
 	e.slots = e.slots[:0]
@@ -124,6 +126,9 @@ func (e *Engine) less(i, j int) bool {
 func (e *Engine) push(en entry) {
 	e.heap = append(e.heap, en)
 	i := len(e.heap) - 1
+	if i >= e.maxPend {
+		e.maxPend = i + 1
+	}
 	for i > 0 {
 		p := (i - 1) / 4
 		if !e.less(i, p) {
@@ -236,10 +241,16 @@ func (e *Engine) RunAll() Time {
 // Pending reports the number of events waiting in the queue.
 func (e *Engine) Pending() int { return len(e.heap) }
 
+// MaxPending reports the largest number of events that have waited in the
+// queue at once since creation (or the last Reset): the heap-depth
+// high-water mark, which bounds what every push and pop pays.
+func (e *Engine) MaxPending() int { return e.maxPend }
+
 // Scheduled reports the number of events scheduled since creation (or the
-// last Reset), including ticker re-arms. Together with Processed it is the
-// engine's observability surface: callers read both after a simulation
-// completes, so the event hot path itself carries no instrumentation.
+// last Reset), including ticker re-arms and every Repeat element. Together
+// with Processed and MaxPending it is the engine's observability surface:
+// callers read them after a simulation completes, so the event hot path
+// itself carries no instrumentation beyond MaxPending's one compare.
 func (e *Engine) Scheduled() uint64 { return e.seq }
 
 // Ticker invokes fn every `period` starting at `start` until the engine
@@ -274,4 +285,42 @@ func (e *Engine) Tick(start Time, period Duration, fn func(now Time)) *Ticker {
 	}
 	e.schedule(start, id)
 	return t
+}
+
+// Repeat runs fn at start + k·period for k = 0..n-1. It is equivalent to n
+// Schedule calls made now — each element gets the insertion seq that call
+// would have taken (all n are reserved at once, so Scheduled() advances by
+// n) and a time in the past is clamped to the present exactly as Schedule
+// clamps it — but only the next element waits in the queue. Like a
+// ticker, the source owns one slab slot that each fire re-arms, so the
+// heap stays shallow however long the series is and re-arming allocates
+// nothing.
+func (e *Engine) Repeat(start Time, period Duration, n int, fn func()) {
+	if period <= 0 {
+		panic("sim: Repeat period must be positive")
+	}
+	if n <= 0 {
+		return
+	}
+	floor, base := e.now, e.seq
+	e.seq += uint64(n)
+	id := e.alloc()
+	k := 0
+	arm := func() {
+		at := start + Time(k)*period
+		if at < floor {
+			at = floor
+		}
+		e.push(entry{at: at, seq: base + uint64(k) + 1, slot: id})
+	}
+	e.slots[id].periodic = true
+	e.slots[id].fn = func() {
+		if k++; k < n {
+			arm()
+		} else {
+			e.release(id)
+		}
+		fn()
+	}
+	arm()
 }

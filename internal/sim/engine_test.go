@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -128,6 +130,95 @@ func TestTickerZeroPeriodPanics(t *testing.T) {
 		}
 	}()
 	NewEngine().Tick(0, 0, func(Time) {})
+}
+
+// TestEngineRepeatMatchesEagerSchedule runs one scenario twice: once with
+// a Repeat series, once with the n Schedule calls it stands for. Ticks,
+// one-shots and nested After calls land on the series' timestamps, and the
+// series starts in the past, so its first elements clamp to the present.
+// Both runs must fire the same events in the same order at the same times
+// and count the same Scheduled() total.
+func TestEngineRepeatMatchesEagerSchedule(t *testing.T) {
+	eager := func(e *Engine, start Time, period Duration, n int, fn func()) {
+		for k := 0; k < n; k++ {
+			e.Schedule(start+Time(k)*period, fn)
+		}
+	}
+	run := func(repeat func(*Engine, Time, Duration, int, func())) ([]string, uint64) {
+		e := NewEngine()
+		var log []string
+		rec := func(name string) func() {
+			return func() { log = append(log, fmt.Sprintf("%s@%d", name, e.Now())) }
+		}
+		e.Schedule(20, rec("warm"))
+		e.Run(20)
+		tk := e.Tick(20, 5, func(Time) { rec("tick")() })
+		e.Schedule(25, rec("a25"))
+		k := 0
+		// Starts 10 ns in the past: elements at 10 and 15 clamp to 20.
+		repeat(e, 10, 5, 7, func() {
+			rec(fmt.Sprintf("rep%d", k))()
+			if k%2 == 0 {
+				e.After(5, rec(fmt.Sprintf("after%d", k)))
+			}
+			k++
+		})
+		e.Schedule(30, rec("a30"))
+		e.After(0, rec("now"))
+		e.Schedule(45, func() { tk.Cancel() })
+		e.RunAll()
+		return log, e.Scheduled()
+	}
+	wantLog, wantSched := run(eager)
+	gotLog, gotSched := run((*Engine).Repeat)
+	if strings.Join(gotLog, " ") != strings.Join(wantLog, " ") {
+		t.Fatalf("Repeat firing order\n got  %v\n want %v", gotLog, wantLog)
+	}
+	if gotSched != wantSched {
+		t.Fatalf("Scheduled() = %d, eager loop gives %d", gotSched, wantSched)
+	}
+	if !strings.Contains(strings.Join(gotLog, " "), "rep0@20 rep1@20 rep2@20") {
+		t.Fatalf("past elements did not clamp to the present: %v", gotLog)
+	}
+}
+
+func TestEngineRepeatEdges(t *testing.T) {
+	e := NewEngine()
+	e.Repeat(5, 1, 0, func() { t.Fatal("empty Repeat fired") })
+	if e.Scheduled() != 0 || e.Pending() != 0 {
+		t.Fatalf("empty Repeat scheduled %d, pending %d", e.Scheduled(), e.Pending())
+	}
+	var fires int
+	e.Repeat(0, 3, 1000, func() { fires++ })
+	if e.Pending() != 1 || e.Scheduled() != 1000 {
+		t.Fatalf("Repeat of 1000: pending %d, scheduled %d; want 1, 1000", e.Pending(), e.Scheduled())
+	}
+	e.RunAll()
+	if fires != 1000 || e.Now() != 2997 || e.MaxPending() != 1 {
+		t.Fatalf("fires %d at %v, max pending %d; want 1000 at 2997, 1", fires, e.Now(), e.MaxPending())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("zero period did not panic")
+		}
+	}()
+	e.Repeat(0, 0, 1, func() {})
+}
+
+func TestEngineMaxPending(t *testing.T) {
+	e := NewEngine()
+	for i := 0; i < 5; i++ {
+		e.Schedule(Time(i), func() {})
+	}
+	e.Run(2)
+	e.Schedule(10, func() {})
+	if e.Pending() != 3 || e.MaxPending() != 5 {
+		t.Fatalf("pending %d, max %d; want 3, 5", e.Pending(), e.MaxPending())
+	}
+	e.Reset()
+	if e.MaxPending() != 0 {
+		t.Fatalf("Reset left MaxPending = %d", e.MaxPending())
+	}
 }
 
 func TestTimeString(t *testing.T) {
@@ -269,9 +360,9 @@ func TestStreamDurHelpers(t *testing.T) {
 }
 
 // TestSteadyStateAllocFree is the engine's allocation guard: once the
-// heap and slot slab have grown to their working size, ticker re-arms and
-// one-shot schedule/fire cycles must not allocate at all. The PR 2
-// performance work depends on this invariant and the obs layer's
+// heap and slot slab have grown to their working size, ticker and Repeat
+// re-arms and one-shot schedule/fire cycles must not allocate at all. The
+// slab-backed queue's speed depends on this invariant and the obs layer's
 // overhead contract assumes it (events are counted by reading
 // Scheduled/Processed after a run, never by per-event hooks), so a
 // regression fails the suite instead of silently showing up in
@@ -287,6 +378,8 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		e.After(7, rearm)
 	}
 	e.Schedule(3, rearm)
+	var reps int
+	e.Repeat(1, 13, 1<<30, func() { reps++ })
 	horizon := Time(0)
 	step := func() {
 		horizon += 1000
@@ -297,7 +390,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state engine allocated %.1f times per run, want 0", allocs)
 	}
-	if ticks == 0 || fires == 0 {
+	if ticks == 0 || fires == 0 || reps == 0 {
 		t.Fatal("guard workload did not run")
 	}
 	if e.Scheduled() == 0 || e.Processed == 0 {

@@ -74,16 +74,19 @@ type firing struct {
 	now Time
 }
 
-// FuzzEventQueue drives random schedule/run/stop interleavings through both
-// queues. Every event records (its insertion id, the clock when it fired);
-// the two logs must match exactly, which pins the (time, seq) tie-break,
-// the clamp-past-to-present rule, and Stop semantics across the heap
-// rewrite.
+// FuzzEventQueue drives random schedule/run/stop/repeat interleavings
+// through both queues. Every event records (its insertion id, the clock when
+// it fired); the two logs must match exactly, which pins the (time, seq)
+// tie-break, the clamp-past-to-present rule, and Stop semantics across the
+// heap rewrite, and shows a lazily re-armed Repeat fires exactly like the n
+// eager Schedule calls it stands for.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 10, 1, 50, 0, 10, 2, 0, 1, 255})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 0, 1, 1, 1, 2})
 	f.Add([]byte{3, 7, 0, 3, 1, 20, 3, 1, 2, 1, 200})
 	f.Add([]byte{2, 5, 0, 5, 0, 5, 1, 100, 1, 100})
+	f.Add([]byte{4, 200, 0, 7, 1, 9, 4, 3, 3, 12, 2, 15, 1, 40, 4, 0})
+	f.Add([]byte{0, 60, 1, 50, 0, 0, 4, 37, 3, 0, 1, 100}) // Repeat from the past
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		eng := NewEngine()
 		ref := &refEngine{}
@@ -112,8 +115,26 @@ func FuzzEventQueue(f *testing.F) {
 			ref.schedule(ref.now+delta, id)
 		}
 
+		// repeat makes one Repeat call on the engine and the n Schedule
+		// calls it is equivalent to on the reference.
+		repeat := func(arg byte) {
+			n := 1 + int(arg%5)
+			period := 1 + Time(arg/5%7)
+			start := eng.Now() + Time(arg/35) - 3 // -3..4: may lie in the past
+			first := nextID
+			nextID += n
+			k := 0
+			eng.Repeat(start, period, n, func() {
+				gotLog = append(gotLog, firing{first + k, eng.Now()})
+				k++
+			})
+			for j := 0; j < n; j++ {
+				ref.schedule(start+Time(j)*period, first+j)
+			}
+		}
+
 		for i := 0; i+1 < len(ops); i += 2 {
-			op, arg := ops[i]%4, Time(ops[i+1])
+			op, arg := ops[i]%5, Time(ops[i+1])
 			switch op {
 			case 0: // one-shot event at now+arg
 				schedule(arg, false)
@@ -126,6 +147,8 @@ func FuzzEventQueue(f *testing.F) {
 			case 3: // two events at the same timestamp (forces a tie)
 				schedule(arg, false)
 				schedule(arg, false)
+			case 4: // a Repeat series against its eager equivalent
+				repeat(ops[i+1])
 			}
 		}
 		// Drain both queues completely, honouring any pending stop events.
@@ -147,6 +170,9 @@ func FuzzEventQueue(f *testing.F) {
 		}
 		if eng.Now() != ref.now {
 			t.Fatalf("clocks diverged: engine %v, reference %v", eng.Now(), ref.now)
+		}
+		if eng.Scheduled() != ref.seq {
+			t.Fatalf("Scheduled() = %d, reference scheduled %d", eng.Scheduled(), ref.seq)
 		}
 	})
 }
