@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt build vet test race bench bench-e2e bench-ml bench-train bench-train-smoke bench-infer bench-infer-smoke bench-infer-int8 bench-infer-int8-smoke bench-serve bench-serve-smoke bench-collect bench-collect-smoke bench-dist bench-dist-smoke check-infer-equivalence check-int8-agreement check-train-equivalence check-telemetry-merge check-dist-equivalence bench-smoke bench-obs smoke-obs smoke-telemetry smoke-dist ci clean
+.PHONY: all fmt build vet test race bench bench-e2e bench-ml bench-train bench-train-smoke bench-infer bench-infer-smoke bench-infer-int8 bench-infer-int8-smoke bench-serve bench-serve-smoke bench-collect bench-collect-smoke bench-dist bench-dist-smoke check-infer-equivalence check-int8-agreement check-sampler-fidelity check-train-equivalence check-telemetry-merge check-dist-equivalence bench-smoke bench-obs smoke-obs smoke-telemetry smoke-dist ci clean
 
 # Run directory for benchmark artifacts. Every bench target drops all of its
 # outputs — profiles and the machine-readable JSON from cmd/benchjson — into
@@ -31,10 +31,11 @@ test:
 	$(GO) test ./...
 
 # The concurrency-heavy packages (training engine incl. the persistent
-# gradient-shard worker pool, fold/collection pools, event engine, machine
-# lifecycle, metrics registry/tracer) under the race detector.
+# gradient-shard worker pool, fold/collection pools, event engine, the
+# handler-duration tables collection workers share, machine lifecycle,
+# metrics registry/tracer) under the race detector.
 race:
-	$(GO) test -race ./internal/ml ./internal/core ./internal/sim ./internal/kernel ./internal/obs ./internal/serve ./internal/trace ./internal/dist
+	$(GO) test -race ./internal/ml ./internal/core ./internal/sim ./internal/interrupt ./internal/kernel ./internal/obs ./internal/serve ./internal/trace ./internal/dist
 
 # Full benchmark sweep (slow: regenerates every table/figure at bench scale).
 # CPU/heap profiles land next to the parsed BENCH.json in $(OUTDIR) instead
@@ -162,6 +163,14 @@ check-int8-agreement:
 	$(GO) test -run 'TestInt8ReferenceAgreementRate' -v ./internal/core \
 		| grep -- '--- PASS: TestInt8ReferenceAgreementRate'
 
+# The interrupt-handler duration sampler's statistical gate: for every
+# interrupt type, the inverse-CDF table and the exact log-normal draw must
+# pass a two-sample KS test and agree on p1/p50/p99. Same grep discipline
+# as the other gates.
+check-sampler-fidelity:
+	$(GO) test -run 'TestHandlerSamplerFidelity' -v ./internal/interrupt \
+		| grep -- '--- PASS: TestHandlerSamplerFidelity'
+
 # The batch-major training engine must produce bit-identical trained weights
 # to the per-sample reference at every Parallelism. Same grep discipline as
 # check-infer-equivalence: a silent skip prints no PASS and fails ci.
@@ -187,7 +196,7 @@ check-dist-equivalence:
 # One-iteration pass over the simulation-side benchmarks: catches bit-rot in
 # benchmark code without paying for stable timings.
 bench-smoke:
-	$(GO) test -run xxx -bench . -benchtime 1x ./internal/sim ./internal/kernel ./internal/core ./internal/obs
+	$(GO) test -run xxx -bench . -benchtime 1x ./internal/sim ./internal/interrupt ./internal/kernel ./internal/core ./internal/obs
 
 # Observability overhead check: the instrumented collection sweep with obs
 # off must match BenchmarkCollectDataset (see EXPERIMENTS.md baselines).
@@ -222,7 +231,7 @@ smoke-dist:
 	grep -q '"source": "smoke-w' smoke-dist-out/run.json
 	rm -rf smoke-dist-out
 
-ci: fmt build vet test race bench-smoke bench-infer-smoke bench-infer-int8-smoke bench-train-smoke bench-serve-smoke bench-collect-smoke bench-dist-smoke check-infer-equivalence check-int8-agreement check-train-equivalence check-telemetry-merge check-dist-equivalence smoke-obs smoke-telemetry smoke-dist
+ci: fmt build vet test race bench-smoke bench-infer-smoke bench-infer-int8-smoke bench-train-smoke bench-serve-smoke bench-collect-smoke bench-dist-smoke check-infer-equivalence check-int8-agreement check-sampler-fidelity check-train-equivalence check-telemetry-merge check-dist-equivalence smoke-obs smoke-telemetry smoke-dist
 
 clean:
 	$(GO) clean

@@ -10,6 +10,7 @@ import (
 	"repro/internal/browser"
 	"repro/internal/clockface"
 	"repro/internal/defense"
+	"repro/internal/interrupt"
 	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -152,6 +153,11 @@ func collectOne(m *kernel.Machine, scn Scenario, profile website.Profile, label,
 	cSimProcessed.Add(int64(m.Eng.Processed))
 	cSimScheduled.Add(int64(m.Eng.Scheduled()))
 	gSimPendingMax.Max(int64(m.Eng.MaxPending()))
+	var handlers uint64
+	for t := range interrupt.NumTypes {
+		handlers += m.Ctl.TotalCount(t)
+	}
+	cSimIRQHandlers.Add(int64(handlers))
 	return tr, nil
 }
 

@@ -83,17 +83,27 @@ func goldenGrid() []Scenario {
 	}
 }
 
-// goldenHashes pins the exact dataset bytes produced by the seed
-// implementation (PR 1, commit 1e0be33) for the grid above. Any engine or
-// machine-lifecycle change must reproduce these bit-identically.
+// goldenHashes pins the exact dataset bytes for the grid above. Any engine
+// or machine-lifecycle change must reproduce these bit-identically.
+//
+// Provenance: the seed implementation (commit 1e0be33) set the first
+// values, and every engine rewrite since reproduced them. They were
+// re-pinned once, when interrupt-handler durations moved from the exact
+// log-normal draw (sim.Stream.DurLogNormal, math.Exp per delivery) to the
+// inverse-CDF table sampler (sim.LogNormalTable). That change alters the
+// random streams by design: the table takes exactly one Uint64 per draw,
+// where the normal variate takes a variable number. Bit-identity to the
+// old draw is replaced by the statistical gate
+// interrupt.TestHandlerSamplerFidelity; restoring the exact draw in
+// interrupt's sampleDuration brings the seed values back.
 var goldenHashes = map[string]uint64{
-	"golden/chrome-linux-loop":    0xe308c2a4d5acc9fd,
-	"golden/chrome-linux-sweep":   0x44c0238021060bd2,
-	"golden/firefox-windows-loop": 0x85feeeb976824a86,
-	"golden/tor-linux-loop":       0xa21d1058faaa7566,
-	"golden/python-randomized":    0xfaeb107a91d4f560,
-	"golden/isolation-ladder":     0xb77cd5e56d26898c,
-	"golden/noise-everything":     0x7d46d74e51dbd745,
+	"golden/chrome-linux-loop":    0x0879791b771d5b36,
+	"golden/chrome-linux-sweep":   0xf63ab6fb51912cdf,
+	"golden/firefox-windows-loop": 0xe5bab677020350c1,
+	"golden/tor-linux-loop":       0x068bc6a482dbba6f,
+	"golden/python-randomized":    0x8a74da65fd4d1a99,
+	"golden/isolation-ladder":     0x3509666d289acc0b,
+	"golden/noise-everything":     0xc4ac8d436029da98,
 }
 
 // TestGoldenDeterminism asserts that the simulated datasets for the golden
@@ -156,5 +166,28 @@ func TestGoldenHeapDepth(t *testing.T) {
 	t.Logf("golden grid event-queue high-water: %d", depth)
 	if depth <= 0 || depth >= maxGoldenPending {
 		t.Fatalf("sim pending_max = %d, want in (0, %d)", depth, maxGoldenPending)
+	}
+}
+
+// TestGoldenIRQHandlerCount checks that the golden grid reports its
+// interrupt-handler executions, one handler-duration draw each, in the
+// manifest's "sim" section. Counters only grow, so the grid's share is the
+// difference across its collection.
+func TestGoldenIRQHandlerCount(t *testing.T) {
+	handlers := func() int64 {
+		return ManifestSections(0)["sim"].(map[string]any)["irq_handlers"].(int64)
+	}
+	before := handlers()
+	sc := goldenScale
+	sc.Parallelism = 1
+	for _, scn := range goldenGrid() {
+		if _, err := collectDatasetForTest(scn, sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := handlers() - before
+	t.Logf("golden grid interrupt handlers: %d", n)
+	if n <= 0 {
+		t.Fatalf("sim irq_handlers = %d, want > 0", n)
 	}
 }

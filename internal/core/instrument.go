@@ -11,10 +11,12 @@ import (
 // updates on the order of a few per trace simulation (milliseconds of work
 // each), so they stay unconditional; anything costing an allocation or a
 // time.Now() — spans, slot-held timing — is gated on obs.On() at the call
-// site. Simulation event counts and the heap-depth high-water come from
-// reading Engine.Processed, Engine.Scheduled() and Engine.MaxPending()
-// after each trace rather than per-event hooks, which keeps the event hot
-// path allocation- and instrumentation-free (sim.TestSteadyStateAllocFree).
+// site. Simulation event counts, the heap-depth high-water and the
+// interrupt-handler count come from reading Engine.Processed,
+// Engine.Scheduled(), Engine.MaxPending() and the interrupt controller's
+// delivery counts after each trace rather than per-event hooks, which
+// keeps the event hot path allocation- and instrumentation-free
+// (sim.TestSteadyStateAllocFree).
 var (
 	gSlotCap       = obs.Default.Gauge("core.slots.capacity")
 	gSlotsInUse    = obs.Default.Gauge("core.slots.in_use")
@@ -38,6 +40,10 @@ var (
 	// with a max. Telemetry merges add gauges, so a figure merged over
 	// several workers is a sum of their maxima, an upper bound.
 	gSimPendingMax = obs.Default.Gauge("core.sim.pending_max")
+	// cSimIRQHandlers counts interrupt-handler executions, one
+	// handler-duration draw each, read from the controller's per-type
+	// delivery counts after each trace.
+	cSimIRQHandlers = obs.Default.Counter("core.sim.irq_handlers")
 
 	cCellsPlanned   = obs.Default.Counter("core.cells.planned")
 	cCellsCompleted = obs.Default.Counter("core.cells.completed")
@@ -122,6 +128,7 @@ func ManifestSections(wall time.Duration) map[string]any {
 			"events_scheduled": cSimScheduled.Value(),
 			"events_processed": cSimProcessed.Value(),
 			"pending_max":      gSimPendingMax.Value(),
+			"irq_handlers":     cSimIRQHandlers.Value(),
 		},
 		"pipeline": map[string]any{
 			"cells_planned":   cCellsPlanned.Value(),

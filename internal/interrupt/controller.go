@@ -2,6 +2,7 @@ package interrupt
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/cpu"
 	"repro/internal/sim"
@@ -91,6 +92,8 @@ type Controller struct {
 
 	counts    [][]uint64 // [type][core]
 	observers []Observer
+
+	tables [NumTypes]*sim.LogNormalTable // handler-duration samplers, see handlerTables
 }
 
 // NewController creates a controller over the given cores.
@@ -103,6 +106,7 @@ func NewController(eng *sim.Engine, cores []*cpu.Core, rng *sim.Stream, cfg Conf
 		vmCore:      make([]bool, len(cores)),
 		pendingSoft: make([][]Type, len(cores)),
 		counts:      make([][]uint64, NumTypes),
+		tables:      handlerTables(),
 	}
 	for i := range c.counts {
 		c.counts[i] = make([]uint64, len(cores))
@@ -194,10 +198,21 @@ func (c *Controller) TotalCount(t Type) uint64 {
 	return n
 }
 
-// sampleDuration draws a handler-body duration for t.
+// handlerTables holds each type's handler-duration sampler. They are built
+// when the first controller is, rather than at package init, so processes
+// that never simulate a machine do not pay for them, and are shared
+// read-only by every controller.
+var handlerTables = sync.OnceValue(func() (tabs [NumTypes]*sim.LogNormalTable) {
+	for t, s := range specs {
+		tabs[t] = sim.NewLogNormalTable(s.Median, s.Sigma, s.Min, s.Max)
+	}
+	return tabs
+})
+
+// sampleDuration draws a handler-body duration for t from its spec's
+// clamped log-normal, scaled by CostScale.
 func (c *Controller) sampleDuration(t Type) sim.Duration {
-	s := SpecOf(t)
-	d := c.rng.DurLogNormal(s.Median, s.Sigma, s.Min, s.Max)
+	d := c.tables[t].Sample(c.rng)
 	return sim.Duration(float64(d) * c.cfg.CostScale)
 }
 

@@ -131,7 +131,22 @@ func (s *Stream) DurExp(mean Duration) Duration {
 // DurLogNormal returns a log-normally distributed duration with the given
 // median and sigma (in log space), clamped to [min, max].
 func (s *Stream) DurLogNormal(median Duration, sigma float64, min, max Duration) Duration {
-	d := Duration(float64(median) * math.Exp(sigma*s.rng.NormFloat64()))
+	return clampDur(float64(median)*math.Exp(sigma*s.rng.NormFloat64()), min, max)
+}
+
+// clampDur converts a non-negative duration in float nanoseconds to a
+// Duration clamped to [min, max]; max <= 0 means no upper bound. Values at
+// or past 2^63 (an overflowed +Inf included) saturate at max, or at
+// math.MaxInt64 when there is none, instead of wrapping to a negative
+// Duration.
+func clampDur(v float64, min, max Duration) Duration {
+	if v >= 0x1p63 {
+		if max > 0 {
+			return max
+		}
+		return math.MaxInt64
+	}
+	d := Duration(v)
 	if d < min {
 		d = min
 	}
