@@ -121,11 +121,12 @@ func firstCrossing(tm clockface.Timer, from, target sim.Time) sim.Time {
 		}
 		return x
 	case *clockface.Jittered:
-		// Read is constant within each tick; scan ticks from the
-		// current one. ε ≤ Δ bounds the scan to a couple of steps
-		// beyond target/Δ.
+		// Read is constant within each tick and Read(kΔ) ≤ kΔ+Amp, so
+		// no tick before ⌊(target−Amp)/Δ⌋ can cross: start the scan
+		// there (or at the current tick, if later). Amp ≤ Δ bounds it
+		// to a couple of steps.
 		d := t.Delta
-		k := from / d
+		k := max(from/d, (target-t.Amp)/d)
 		for {
 			tickStart := k * d
 			probe := tickStart

@@ -76,6 +76,30 @@ func TestFirstCrossingProperty(t *testing.T) {
 	}
 }
 
+// Property: for jittered timers of any tick Δ and amplitude Amp ≤ Δ,
+// firstCrossing returns what a tick-by-tick scan from the current tick
+// returns, though it starts its own scan at ⌊(target−Amp)/Δ⌋.
+func TestFirstCrossingJitteredMatchesScan(t *testing.T) {
+	scan := func(j *clockface.Jittered, from, target sim.Time) sim.Time {
+		for k := from / j.Delta; ; k++ {
+			probe := max(k*j.Delta, from)
+			if j.Read(probe) >= target {
+				return probe
+			}
+		}
+	}
+	f := func(seed uint64, fromRaw, targetRaw uint32, deltaRaw, ampRaw uint16) bool {
+		delta := sim.Duration(deltaRaw%2000) + 1
+		amp := sim.Duration(ampRaw)%delta + 1
+		j := clockface.NewJitteredAmp(delta, amp, seed)
+		from, target := sim.Time(fromRaw%1_000_000), sim.Time(targetRaw%1_000_000)
+		return firstCrossing(j, from, target) == scan(j, from, target)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFirstCrossingRandomizedViaNextChange(t *testing.T) {
 	r := clockface.NewRandomized(sim.NewStream(5, "fc"))
 	base := r.Read(0)

@@ -95,13 +95,11 @@ func poissonStream(m *kernel.Machine, start, end sim.Time, rate float64, rng *si
 		return
 	}
 	mean := sim.Duration(float64(sim.Second) / rate)
-	var step func()
-	step = func() {
+	m.Eng.Chain(start+rng.DurExp(mean), func() (sim.Time, bool) {
 		if m.Eng.Now() >= end {
-			return
+			return 0, false
 		}
 		fire()
-		m.Eng.After(rng.DurExp(mean), step)
-	}
-	m.Eng.Schedule(start+rng.DurExp(mean), step)
+		return m.Eng.Now() + rng.DurExp(mean), true
+	})
 }

@@ -37,6 +37,30 @@ func BenchmarkCollectOne(b *testing.B) {
 	}
 }
 
+// collectOneAllocBudget bounds BenchmarkCollectOne's allocs/op. Event
+// sources re-arm their own slab slot (Tick, Repeat, Chain), so a trace's
+// allocations are machine boot and per-burst closures, not per event; a
+// source that allocates per event adds thousands per trace.
+const collectOneAllocBudget = 250
+
+// TestCollectOneAllocBudget is BenchmarkCollectOne's allocation gate: the
+// same one-trace simulation must stay under collectOneAllocBudget
+// allocations.
+func TestCollectOneAllocBudget(t *testing.T) {
+	scn := benchScenario()
+	profile := website.ProfileFor(website.ClosedWorldDomains()[0])
+	visit := 0
+	allocs := testing.AllocsPerRun(4, func() {
+		if _, err := CollectOne(scn, profile, 0, visit, 42); err != nil {
+			t.Fatal(err)
+		}
+		visit++
+	})
+	if allocs >= collectOneAllocBudget {
+		t.Fatalf("CollectOne allocated %.0f times per trace, budget %d", allocs, collectOneAllocBudget)
+	}
+}
+
 // BenchmarkCollectDataset measures a single-threaded dataset sweep — the
 // acceptance-criterion workload for the simulation overhaul (cache bypassed
 // so every iteration re-simulates).

@@ -52,20 +52,19 @@ const PageLoadSlowdown = 3.61 / 3.12
 // Start schedules the noise generators on machine m until `until`.
 func (n *InterruptNoise) Start(m *kernel.Machine, until sim.Time) {
 	rng := m.RNG().Fork("defense-interrupt-noise")
-	var nextBurst func()
-	nextBurst = func() {
+	burstMean := sim.Duration(float64(sim.Second) / n.BurstsPerSec)
+	m.Eng.Chain(m.Eng.Now()+rng.DurExp(burstMean), func() (sim.Time, bool) {
 		if n.stopped || m.Eng.Now() >= until {
-			return
+			return 0, false
 		}
 		end := m.Eng.Now() + rng.DurUniform(n.BurstLenLo, n.BurstLenHi)
 		if end > until {
 			end = until
 		}
 		pingGap := sim.Duration(float64(sim.Second) / rng.Uniform(n.PingRateLo, n.PingRateHi))
-		var ping func()
-		ping = func() {
+		ping := func() (sim.Time, bool) {
 			if n.stopped || m.Eng.Now() >= end {
-				return
+				return 0, false
 			}
 			m.Ctl.RaiseIRQ(interrupt.NetRX)
 			// Each ping's packet processing fills socket buffers and
@@ -82,12 +81,15 @@ func (n *InterruptNoise) Start(m *kernel.Machine, until sim.Time) {
 			if rng.Bernoulli(0.03) {
 				m.Ctl.SendResched(rng.IntN(m.Ctl.NumCores()))
 			}
-			m.Eng.After(rng.DurExp(pingGap), ping)
+			return m.Eng.Now() + rng.DurExp(pingGap), true
 		}
-		ping()
-		m.Eng.After(rng.DurExp(sim.Duration(float64(sim.Second)/n.BurstsPerSec)), nextBurst)
-	}
-	m.Eng.After(rng.DurExp(sim.Duration(float64(sim.Second)/n.BurstsPerSec)), nextBurst)
+		// The burst's first ping runs inline, at the burst's start; the
+		// chain takes over from its re-arm.
+		if next, ok := ping(); ok {
+			m.Eng.Chain(next, ping)
+		}
+		return m.Eng.Now() + rng.DurExp(burstMean), true
+	})
 }
 
 // Stop halts the generators.
@@ -133,10 +135,9 @@ func (c *CacheSweepNoise) Start(m *kernel.Machine, until sim.Time) {
 	m.Eng.Tick(0, 200*sim.Millisecond, func(sim.Time) {
 		intensity = rng.Uniform(0.35, 1.0)
 	})
-	var sweep func()
-	sweep = func() {
+	m.Eng.Chain(m.Eng.Now()+period, func() (sim.Time, bool) {
 		if c.stopped || m.Eng.Now() >= until {
-			return
+			return 0, false
 		}
 		// One pass touches every line of an LLC-sized buffer; only the
 		// effective fraction lands as attacker-line evictions (see
@@ -147,9 +148,8 @@ func (c *CacheSweepNoise) Start(m *kernel.Machine, until sim.Time) {
 		if rng.Bernoulli(0.001) {
 			m.Ctl.SendResched(rng.IntN(m.Ctl.NumCores()))
 		}
-		m.Eng.After(rng.DurLogNormal(period, 0.1, period/2, period*4), sweep)
-	}
-	m.Eng.After(period, sweep)
+		return m.Eng.Now() + rng.DurLogNormal(period, 0.1, period/2, period*4), true
+	})
 	// A busy background process also holds the package at all-core turbo.
 	m.Eng.Tick(0, 10*sim.Millisecond, func(sim.Time) {
 		if !c.stopped {

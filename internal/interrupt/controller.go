@@ -85,8 +85,8 @@ type Controller struct {
 	routing     RoutingKind
 	pinnedCore  int
 	affinity    [NumTypes]int // per-type device-IRQ home core; -1 = spread
-	rrDevice    int           // round-robin cursor for balanced device IRQs
-	rrSoftirq   int           // round-robin cursor for deferred softirqs
+	rrDevice    int           // round-robin cursor for balanced device IRQs, in [0, len(cores))
+	rrSoftirq   int           // round-robin cursor for deferred softirqs, in [0, len(cores))
 	vmCore      []bool
 	pendingSoft [][]Type // per-core deferred softirq queues
 
@@ -247,8 +247,10 @@ func (c *Controller) routeDevice(t Type) int {
 	if a := c.affinity[t]; a >= 0 {
 		return a
 	}
-	core := c.rrDevice % len(c.cores)
-	c.rrDevice++
+	core := c.rrDevice
+	if c.rrDevice++; c.rrDevice == len(c.cores) {
+		c.rrDevice = 0
+	}
 	return core
 }
 
@@ -304,8 +306,10 @@ func (c *Controller) DeferSoftirq(t Type, raisingCore int) {
 	}
 	core := raisingCore
 	if c.cfg.SoftirqPolicy == SoftirqAnyCore {
-		core = c.rrSoftirq % len(c.cores)
-		c.rrSoftirq++
+		core = c.rrSoftirq
+		if c.rrSoftirq++; c.rrSoftirq == len(c.cores) {
+			c.rrSoftirq = 0
+		}
 	}
 	c.pendingSoft[core] = append(c.pendingSoft[core], t)
 }

@@ -65,6 +65,34 @@ func TestRaiseIRQBalancedRoundRobin(t *testing.T) {
 	}
 }
 
+// TestRoundRobinCursorsWrap drives both round-robin cursors through more
+// than three laps of a three-core controller, interleaved: device IRQs
+// must still land on core i mod 3 and deferred softirqs spread evenly.
+func TestRoundRobinCursorsWrap(t *testing.T) {
+	const n, raises = 3, 3*3 + 2
+	cfg := DefaultConfig()
+	cfg.SoftirqPolicy = SoftirqAnyCore
+	cfg.TickHZ = 1000
+	eng, _, ctl := newRig(n, cfg)
+	ctl.StartTimerTicks()
+	for i := 0; i < raises; i++ {
+		if core := ctl.RaiseIRQ(SATA); core != i%n {
+			t.Fatalf("raise %d on core %d, want %d", i, core, i%n)
+		}
+		ctl.DeferSoftirq(SoftTimer, 0)
+	}
+	eng.Run(5 * sim.Millisecond)
+	for c := 0; c < n; c++ {
+		want := uint64(raises / n)
+		if c < raises%n {
+			want++
+		}
+		if got := ctl.Counts(SoftTimer, c); got != want {
+			t.Fatalf("softirqs on core %d = %d, want %d", c, got, want)
+		}
+	}
+}
+
 func TestRaiseIRQPinned(t *testing.T) {
 	_, cores, ctl := newRig(4, DefaultConfig())
 	ctl.SetRouting(RoutePinned, 0)

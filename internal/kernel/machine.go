@@ -154,59 +154,43 @@ func (m *Machine) RNG() *sim.Stream { return m.rng }
 func (m *Machine) startBaseline(prof osProfile) {
 	irqRNG := m.rng.Fork("baseline-irq")
 	softRNG := m.rng.Fork("baseline-soft")
-	var nextIRQ func()
-	nextIRQ = func() {
-		mean := sim.Duration(float64(sim.Second) / prof.baselineIRQRate)
-		m.Eng.After(irqRNG.DurExp(mean), func() {
-			if irqRNG.Bernoulli(0.6) {
-				m.Ctl.RaiseIRQ(interrupt.SATA)
-			} else {
-				m.Ctl.RaiseIRQ(interrupt.USB)
-			}
-			nextIRQ()
-		})
-	}
-	nextIRQ()
+	irqMean := sim.Duration(float64(sim.Second) / prof.baselineIRQRate)
+	m.Eng.Chain(m.Eng.Now()+irqRNG.DurExp(irqMean), func() (sim.Time, bool) {
+		if irqRNG.Bernoulli(0.6) {
+			m.Ctl.RaiseIRQ(interrupt.SATA)
+		} else {
+			m.Ctl.RaiseIRQ(interrupt.USB)
+		}
+		return m.Eng.Now() + irqRNG.DurExp(irqMean), true
+	})
 
-	var nextSoft func()
-	nextSoft = func() {
-		mean := sim.Duration(float64(sim.Second) / prof.baselineSoftRate)
-		m.Eng.After(softRNG.DurExp(mean), func() {
-			if softRNG.Bernoulli(0.5) {
-				m.Ctl.DeferSoftirq(interrupt.SoftRCU, VictimCore)
-			} else {
-				m.Ctl.DeferSoftirq(interrupt.SoftTimer, VictimCore)
-			}
-			nextSoft()
-		})
-	}
-	nextSoft()
+	softMean := sim.Duration(float64(sim.Second) / prof.baselineSoftRate)
+	m.Eng.Chain(m.Eng.Now()+softRNG.DurExp(softMean), func() (sim.Time, bool) {
+		if softRNG.Bernoulli(0.5) {
+			m.Ctl.DeferSoftirq(interrupt.SoftRCU, VictimCore)
+		} else {
+			m.Ctl.DeferSoftirq(interrupt.SoftTimer, VictimCore)
+		}
+		return m.Eng.Now() + softRNG.DurExp(softMean), true
+	})
 }
 
 // startNoiseApps models Slack plus Spotify playing music (§4.2): steady
 // network traffic, audio-timer softirqs, and periodic CPU wakeups.
 func (m *Machine) startNoiseApps() {
 	rng := m.rng.Fork("noise-apps")
-	var nextNet func()
-	nextNet = func() {
-		m.Eng.After(rng.DurExp(8*sim.Millisecond), func() {
-			m.Ctl.RaiseIRQ(interrupt.NetRX)
-			nextNet()
-		})
-	}
-	nextNet()
+	m.Eng.Chain(m.Eng.Now()+rng.DurExp(8*sim.Millisecond), func() (sim.Time, bool) {
+		m.Ctl.RaiseIRQ(interrupt.NetRX)
+		return m.Eng.Now() + rng.DurExp(8*sim.Millisecond), true
+	})
 	// Audio pipeline: 10 ms period timer work plus occasional bursts.
 	m.Eng.Tick(0, 10*sim.Millisecond, func(sim.Time) {
 		m.Ctl.DeferSoftirq(interrupt.SoftTimer, VictimCore)
 	})
-	var nextBurst func()
-	nextBurst = func() {
-		m.Eng.After(rng.DurExp(120*sim.Millisecond), func() {
-			m.Sched.VictimBurst(rng.DurUniform(200*sim.Microsecond, 1200*sim.Microsecond), 0.3)
-			nextBurst()
-		})
-	}
-	nextBurst()
+	m.Eng.Chain(m.Eng.Now()+rng.DurExp(120*sim.Millisecond), func() (sim.Time, bool) {
+		m.Sched.VictimBurst(rng.DurUniform(200*sim.Microsecond, 1200*sim.Microsecond), 0.3)
+		return m.Eng.Now() + rng.DurExp(120*sim.Millisecond), true
+	})
 }
 
 // CPUStat is a /proc/stat-style per-core time breakdown.

@@ -22,6 +22,22 @@ func BenchmarkEngine(b *testing.B) {
 	benchEngineRun(b, e)
 }
 
+// BenchmarkEngineChain is BenchmarkEngine with its self-rearming chains
+// written as Chain sources, the form the simulator's interrupt streams
+// take: each chain keeps one slab slot, and each re-arm replaces the
+// firing entry at the heap root.
+func BenchmarkEngineChain(b *testing.B) {
+	e := NewEngine()
+	for _, p := range []Duration{7, 11, 13, 17, 19, 23, 29, 31} {
+		e.Tick(0, p, func(Time) {})
+	}
+	for i := 0; i < 8; i++ {
+		gap := Duration(5 + i)
+		e.Chain(gap, func() (Time, bool) { return e.Now() + gap, true })
+	}
+	benchEngineRun(b, e)
+}
+
 // BenchmarkEngineChurn measures transient behaviour: building a fresh queue
 // of 1024 events and draining it, per iteration.
 func BenchmarkEngineChurn(b *testing.B) {

@@ -7,7 +7,10 @@
 // from a single root seed.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Time is a point on the virtual clock, in nanoseconds since simulation start.
 type Time int64
@@ -65,11 +68,14 @@ type slot struct {
 // Engine is a discrete-event simulator. The zero value is not usable; create
 // one with NewEngine.
 type Engine struct {
-	now     Time
-	seq     uint64
-	heap    []entry
-	slots   []slot
-	free    int32 // head of the slot free list; -1 when empty
+	now   Time
+	seq   uint64
+	heap  []entry
+	slots []slot
+	free  int32 // head of the slot free list; -1 when empty
+	// hole is set while a callback runs: heap[0] is still the firing
+	// entry, and the callback's first push takes its place.
+	hole    bool
 	stopped bool
 	maxPend int // high-water mark of len(heap)
 	// Processed counts events executed since creation (or the last Reset);
@@ -87,7 +93,7 @@ func NewEngine() *Engine {
 // reuse. A reset engine behaves identically to a fresh NewEngine().
 func (e *Engine) Reset() {
 	e.now, e.seq, e.Processed = 0, 0, 0
-	e.stopped = false
+	e.stopped, e.hole = false, false
 	e.maxPend = 0
 	e.heap = e.heap[:0]
 	clear(e.slots) // release retained closures
@@ -114,16 +120,30 @@ func (e *Engine) release(id int32) {
 	e.free = id
 }
 
-func (e *Engine) less(i, j int) bool {
-	a, b := &e.heap[i], &e.heap[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// before reports 1 if a sorts before b and 0 otherwise. Entries are
+// ordered by (at, seq) read as one 128-bit unsigned key, at the high word:
+// at is never negative, so the borrow out of a − b is set exactly when a
+// sorts first. Two subtractions and no branch.
+func before(a, b *entry) int {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return int(borrow)
 }
 
-// push appends an entry and sifts it up the 4-ary heap.
+// less reports whether a sorts before b.
+func less(a, b *entry) bool { return before(a, b) != 0 }
+
+// push adds an entry. While a callback runs (hole set), its first push
+// replaces the firing entry at the root and sifts down once; otherwise the
+// entry is appended and sifted up the 4-ary heap.
 func (e *Engine) push(en entry) {
+	if e.hole {
+		// The heap held this many entries before the fire, so the
+		// high-water mark already covers it.
+		e.hole = false
+		e.siftDown(en)
+		return
+	}
 	e.heap = append(e.heap, en)
 	i := len(e.heap) - 1
 	if i >= e.maxPend {
@@ -131,43 +151,64 @@ func (e *Engine) push(en entry) {
 	}
 	for i > 0 {
 		p := (i - 1) / 4
-		if !e.less(i, p) {
+		if !less(&en, &e.heap[p]) {
 			break
 		}
-		e.heap[i], e.heap[p] = e.heap[p], e.heap[i]
+		e.heap[i] = e.heap[p]
 		i = p
 	}
+	e.heap[i] = en
 }
 
-// pop removes and returns the minimum entry.
-func (e *Engine) pop() entry {
-	top := e.heap[0]
-	n := len(e.heap) - 1
-	e.heap[0] = e.heap[n]
-	e.heap = e.heap[:n]
+// siftDown places en at the root and moves it down to its place. A node
+// with all four children picks the least in a two-round tournament whose
+// winners are computed from the compare bits, without a branch.
+func (e *Engine) siftDown(en entry) {
+	h := e.heap
+	n := len(h)
 	i := 0
 	for {
 		c := i*4 + 1
-		if c >= n {
-			break
-		}
-		best := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if e.less(j, best) {
-				best = j
+		var best int
+		if c+3 < n {
+			a := c + before(&h[c+1], &h[c])
+			b := c + 2 + before(&h[c+3], &h[c+2])
+			best = a + (b-a)*before(&h[b], &h[a])
+		} else if c < n {
+			best = c
+			for j := c + 1; j < n; j++ {
+				if less(&h[j], &h[best]) {
+					best = j
+				}
 			}
-		}
-		if !e.less(best, i) {
+		} else {
 			break
 		}
-		e.heap[i], e.heap[best] = e.heap[best], e.heap[i]
+		if !less(&h[best], &en) {
+			break
+		}
+		h[i] = h[best]
 		i = best
 	}
-	return top
+	h[i] = en
+}
+
+// popRoot removes the root entry.
+func (e *Engine) popRoot() {
+	n := len(e.heap) - 1
+	last := e.heap[n]
+	e.heap = e.heap[:n]
+	if n > 0 {
+		e.siftDown(last)
+	}
+}
+
+// closeHole removes the firing entry if its callback scheduled nothing.
+func (e *Engine) closeHole() {
+	if e.hole {
+		e.hole = false
+		e.popRoot()
+	}
 }
 
 // schedule pushes a callback slot at the given time, clamping the past to
@@ -192,13 +233,37 @@ func (e *Engine) Schedule(at Time, fn func()) {
 // After runs fn after d nanoseconds of virtual time.
 func (e *Engine) After(d Duration, fn func()) { e.Schedule(e.now+d, fn) }
 
+// Chain runs fn at first, then again at each time fn returns for as long
+// as it returns ok. It stands for a callback whose last action is to
+// schedule itself again: the call takes the seq Schedule(first, …) would,
+// and each re-arm takes its seq when fn returns, exactly where a trailing
+// Schedule(next, …) took it, so every (at, seq) key is unchanged. A time in
+// the past is clamped to the present. The source owns one slab slot that
+// each fire re-arms, so a chain allocates nothing per event.
+func (e *Engine) Chain(first Time, fn func() (next Time, ok bool)) {
+	id := e.alloc()
+	e.slots[id].periodic = true
+	e.slots[id].fn = func() {
+		if next, ok := fn(); ok {
+			e.schedule(next, id)
+		} else {
+			e.release(id)
+		}
+	}
+	e.schedule(first, id)
+}
+
 // Stop halts Run after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// fire pops the minimum entry and executes its callback, recycling one-shot
-// slots before the callback runs so rescheduling can reuse them.
+// fire executes the minimum entry's callback, recycling one-shot slots
+// before the callback runs so rescheduling can reuse them. The entry stays
+// at the root as a hole while the callback runs: the callback's first push
+// takes its place (one sift-down instead of a pop plus a push), and if the
+// callback pushes nothing the root is popped after it returns.
 func (e *Engine) fire() {
-	en := e.pop()
+	en := e.heap[0]
+	e.hole = true
 	s := &e.slots[en.slot]
 	fn := s.fn
 	if !s.periodic {
@@ -209,6 +274,7 @@ func (e *Engine) fire() {
 	}
 	e.Processed++
 	fn()
+	e.closeHole()
 }
 
 // Run executes events until the queue is empty or the clock would pass
@@ -216,6 +282,7 @@ func (e *Engine) fire() {
 // final clock value, which is min(until, time of last event) but never less
 // than the starting clock.
 func (e *Engine) Run(until Time) Time {
+	e.closeHole() // a callback may run the engine itself
 	e.stopped = false
 	for len(e.heap) > 0 && !e.stopped {
 		if e.heap[0].at > until {
@@ -231,6 +298,7 @@ func (e *Engine) Run(until Time) Time {
 
 // RunAll executes every pending event regardless of timestamp.
 func (e *Engine) RunAll() Time {
+	e.closeHole()
 	e.stopped = false
 	for len(e.heap) > 0 && !e.stopped {
 		e.fire()
@@ -238,8 +306,14 @@ func (e *Engine) RunAll() Time {
 	return e.now
 }
 
-// Pending reports the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.heap) }
+// Pending reports the number of events waiting in the queue. Inside a
+// callback the firing event no longer counts.
+func (e *Engine) Pending() int {
+	if e.hole {
+		return len(e.heap) - 1
+	}
+	return len(e.heap)
+}
 
 // MaxPending reports the largest number of events that have waited in the
 // queue at once since creation (or the last Reset): the heap-depth
@@ -263,27 +337,23 @@ type Ticker struct {
 func (t *Ticker) Cancel() { t.cancelled = true }
 
 // Tick schedules a periodic callback. The returned Ticker cancels it.
-// Periodic sources own a single slab slot for their whole lifetime: each
-// fire re-arms the same slot instead of re-pushing a fresh closure, so
-// steady-state ticking performs no allocation at all.
+// A ticker is a Chain: it owns a single slab slot for its whole lifetime,
+// and each fire re-arms that slot, so steady-state ticking performs no
+// allocation at all.
 func (e *Engine) Tick(start Time, period Duration, fn func(now Time)) *Ticker {
 	if period <= 0 {
 		panic("sim: Tick period must be positive")
 	}
 	t := &Ticker{}
-	id := e.alloc()
 	next := start
-	e.slots[id].periodic = true
-	e.slots[id].fn = func() {
+	e.Chain(start, func() (Time, bool) {
 		if t.cancelled {
-			e.release(id)
-			return
+			return 0, false
 		}
 		fn(e.now)
 		next += period
-		e.schedule(next, id)
-	}
-	e.schedule(start, id)
+		return next, true
+	})
 	return t
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -205,6 +206,100 @@ func TestEngineRepeatEdges(t *testing.T) {
 	e.Repeat(0, 0, 1, func() {})
 }
 
+// TestEngineChainMatchesAfter runs one scenario twice: once with Chain
+// sources, once with the callbacks whose last action is a trailing After
+// that Chain stands for. The chains start in the past (clamped), schedule
+// one-shots before re-arming (so the re-arm's seq must come after theirs),
+// tie with other events, and end by returning !ok. Both runs must fire the
+// same events at the same times and agree on Scheduled, MaxPending and
+// Pending.
+func TestEngineChainMatchesAfter(t *testing.T) {
+	type source func(e *Engine, first Time, fn func() (Time, bool))
+	trailingAfter := func(e *Engine, first Time, fn func() (Time, bool)) {
+		var step func()
+		step = func() {
+			if next, ok := fn(); ok {
+				e.Schedule(next, step)
+			}
+		}
+		e.Schedule(first, step)
+	}
+	run := func(chain source) (string, uint64, int) {
+		e := NewEngine()
+		var log []string
+		rec := func(name string) func() {
+			return func() { log = append(log, fmt.Sprintf("%s@%d", name, e.Now())) }
+		}
+		e.Schedule(20, rec("warm"))
+		e.Run(20)
+		e.Tick(20, 5, func(Time) { rec("tick")() })
+		for c := 0; c < 3; c++ {
+			k := 0
+			// Chain 0 starts in the past and clamps to 20.
+			chain(e, Time(10+5*c), func() (Time, bool) {
+				rec(fmt.Sprintf("c%d.%d", c, k))()
+				if k%2 == c%2 {
+					e.After(Duration(c), rec(fmt.Sprintf("s%d.%d", c, k)))
+				}
+				k++
+				return e.Now() + Duration(3+c), k < 6+c
+			})
+		}
+		e.Schedule(30, rec("a30"))
+		e.Run(60)
+		return strings.Join(log, " "), e.Scheduled(), e.MaxPending()*1000 + e.Pending()
+	}
+	wantLog, wantSched, wantPend := run(trailingAfter)
+	gotLog, gotSched, gotPend := run((*Engine).Chain)
+	if gotLog != wantLog {
+		t.Fatalf("Chain firing order\n got  %v\n want %v", gotLog, wantLog)
+	}
+	if gotSched != wantSched || gotPend != wantPend {
+		t.Fatalf("Chain: Scheduled %d, pending code %d; trailing After: %d, %d", gotSched, gotPend, wantSched, wantPend)
+	}
+	if !strings.Contains(gotLog, "warm@20 tick@20 c0.0@20") {
+		t.Fatalf("past chain start did not clamp to the present: %v", gotLog)
+	}
+}
+
+// TestEnginePendingInsideCallback pins the in-flight accounting: while a
+// callback runs, its own event is no longer pending, whether the callback
+// then schedules nothing, one event (which takes the firing entry's place
+// in the heap) or several.
+func TestEnginePendingInsideCallback(t *testing.T) {
+	e := NewEngine()
+	var got []int
+	e.Schedule(1, func() {
+		got = append(got, e.Pending()) // 2 others wait
+		e.After(5, func() {})
+		got = append(got, e.Pending())
+		e.After(6, func() {})
+		got = append(got, e.Pending())
+	})
+	e.Schedule(2, func() { got = append(got, e.Pending()) })
+	e.Schedule(3, func() { got = append(got, e.Pending()) })
+	e.Run(3)
+	want := []int{2, 3, 4, 3, 2}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Pending inside callbacks = %v, want %v", got, want)
+	}
+	if e.Pending() != 2 || e.MaxPending() != 4 {
+		t.Fatalf("after run: pending %d, max %d; want 2, 4", e.Pending(), e.MaxPending())
+	}
+	ran := false
+	e.Schedule(4, func() {
+		e.Reset()
+		if e.Pending() != 0 {
+			t.Fatalf("Reset inside a callback left %d pending", e.Pending())
+		}
+		e.Schedule(1, func() { ran = true })
+	})
+	e.Run(10)
+	if !ran || e.Pending() != 0 || e.Scheduled() != 1 {
+		t.Fatalf("after Reset in callback: ran %v, pending %d, scheduled %d; want true, 0, 1", ran, e.Pending(), e.Scheduled())
+	}
+}
+
 func TestEngineMaxPending(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 5; i++ {
@@ -285,6 +380,34 @@ func TestStreamDeterminismProperty(t *testing.T) {
 	}
 }
 
+// TestStreamFloat64MatchesRand pins the Stream methods that draw straight
+// from the PCG to the bits rand.Rand takes from the same source.
+func TestStreamFloat64MatchesRand(t *testing.T) {
+	s := NewStream(11, "direct")
+	ref := rand.New(rand.NewPCG(11, NameHash("direct")))
+	for i := 0; i < 100_000; i++ {
+		switch i % 4 {
+		case 0:
+			if got, want := s.Float64(), ref.Float64(); got != want {
+				t.Fatalf("draw %d: Float64 %v, rand.Rand %v", i, got, want)
+			}
+		case 1:
+			p := float64(i%100) / 100
+			if got, want := s.Bernoulli(p), ref.Float64() < p; got != want {
+				t.Fatalf("draw %d: Bernoulli(%v) %v, rand.Rand %v", i, p, got, want)
+			}
+		case 2:
+			if got, want := s.Uint64(), ref.Uint64(); got != want {
+				t.Fatalf("draw %d: Uint64 %#x, rand.Rand %#x", i, got, want)
+			}
+		case 3:
+			if got, want := s.Uniform(-2, 5), -2+7*ref.Float64(); got != want {
+				t.Fatalf("draw %d: Uniform %v, rand.Rand %v", i, got, want)
+			}
+		}
+	}
+}
+
 func TestStreamDistributions(t *testing.T) {
 	s := NewStream(42, "dist")
 	n := 20000
@@ -360,8 +483,8 @@ func TestStreamDurHelpers(t *testing.T) {
 }
 
 // TestSteadyStateAllocFree is the engine's allocation guard: once the
-// heap and slot slab have grown to their working size, ticker and Repeat
-// re-arms and one-shot schedule/fire cycles must not allocate at all. The
+// heap and slot slab have grown to their working size, ticker, Repeat and
+// Chain re-arms and one-shot schedule/fire cycles must not allocate at all. The
 // slab-backed queue's speed depends on this invariant and the obs layer's
 // overhead contract assumes it (events are counted by reading
 // Scheduled/Processed after a run, never by per-event hooks), so a
@@ -380,6 +503,11 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	e.Schedule(3, rearm)
 	var reps int
 	e.Repeat(1, 13, 1<<30, func() { reps++ })
+	var links int
+	e.Chain(5, func() (Time, bool) {
+		links++
+		return e.Now() + 11, true
+	})
 	horizon := Time(0)
 	step := func() {
 		horizon += 1000
@@ -390,7 +518,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state engine allocated %.1f times per run, want 0", allocs)
 	}
-	if ticks == 0 || fires == 0 || reps == 0 {
+	if ticks == 0 || fires == 0 || reps == 0 || links == 0 {
 		t.Fatal("guard workload did not run")
 	}
 	if e.Scheduled() == 0 || e.Processed == 0 {

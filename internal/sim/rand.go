@@ -44,8 +44,10 @@ func (s *Stream) Reseed(seed, nameHash uint64) {
 	s.pcg.Seed(seed, nameHash)
 }
 
-// Float64 returns a uniform value in [0, 1).
-func (s *Stream) Float64() float64 { return s.rng.Float64() }
+// Float64 returns a uniform value in [0, 1). It takes the same bits as
+// rand.Rand.Float64, straight from the PCG rather than through the
+// rand.Source interface.
+func (s *Stream) Float64() float64 { return float64(s.pcg.Uint64()<<11>>11) / (1 << 53) }
 
 // IntN returns a uniform value in [0, n).
 func (s *Stream) IntN(n int) int { return s.rng.IntN(n) }
@@ -54,7 +56,7 @@ func (s *Stream) IntN(n int) int { return s.rng.IntN(n) }
 func (s *Stream) Int64N(n int64) int64 { return s.rng.Int64N(n) }
 
 // Uint64 returns a uniform 64-bit value.
-func (s *Stream) Uint64() uint64 { return s.rng.Uint64() }
+func (s *Stream) Uint64() uint64 { return s.pcg.Uint64() }
 
 // Perm returns a random permutation of [0, n).
 func (s *Stream) Perm(n int) []int { return s.rng.Perm(n) }
@@ -64,7 +66,7 @@ func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }
 
 // Uniform returns a uniform value in [lo, hi).
 func (s *Stream) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.rng.Float64()
+	return lo + (hi-lo)*s.Float64()
 }
 
 // Normal returns a normally distributed value.
@@ -99,7 +101,7 @@ func (s *Stream) Poisson(mean float64) int {
 	l := math.Exp(-mean)
 	k, p := 0, 1.0
 	for {
-		p *= s.rng.Float64()
+		p *= s.Float64()
 		if p <= l {
 			return k
 		}
@@ -108,7 +110,7 @@ func (s *Stream) Poisson(mean float64) int {
 }
 
 // Bernoulli returns true with probability p.
-func (s *Stream) Bernoulli(p float64) bool { return s.rng.Float64() < p }
+func (s *Stream) Bernoulli(p float64) bool { return s.Float64() < p }
 
 // DurUniform returns a uniform virtual duration in [lo, hi).
 func (s *Stream) DurUniform(lo, hi Duration) Duration {
